@@ -78,7 +78,7 @@ void print_table() {
     scan_cfg.resources = core::ResourceMask::kFiles;
     scan_cfg.parallelism = 1;
     return scan_cfg;
-  }()).inside_scan();
+  }()).run({.kind = core::ScanKind::kInside}).value();
   const auto cross_view_noise = report.all_hidden().size();
 
   std::printf("%-46s %zu changes (%zu after noise filtering)\n",

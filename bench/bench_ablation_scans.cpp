@@ -107,7 +107,7 @@ void BM_InsideScanWorkers(benchmark::State& state) {
   core::ScanEngine engine(
       m, engine_config(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
-    auto report = engine.inside_scan();
+    auto report = engine.run({.kind = core::ScanKind::kInside}).value();
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() * 3200);
@@ -129,7 +129,7 @@ std::string normalized_findings(const core::Report& report) {
 /// *rows when rows is non-null.
 void print_parallel_table(obs::MetricsRegistry* registry,
                           std::string* rows) {
-  bench::heading("Parallel engine - inside_scan wall time vs executors");
+  bench::heading("Parallel engine - inside scan wall time vs executors");
   std::printf("%-12s %-14s %-10s %s\n", "executors", "seconds", "speedup",
               "findings");
 
@@ -147,7 +147,7 @@ void print_parallel_table(obs::MetricsRegistry* registry,
       cfg.metrics = registry;
       core::ScanEngine engine(m, cfg);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto report = engine.inside_scan();
+      const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
       const double s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
@@ -199,7 +199,8 @@ void print_table(const std::string& json_path) {
     core::ScanConfig scan_cfg;
     scan_cfg.processes.scheduler_view = true;
     scan_cfg.parallelism = 1;
-    const auto report = core::ScanEngine(m, scan_cfg).inside_scan();
+    core::ScanEngine engine(m, scan_cfg);
+    const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
     const bool diffed = report.infection_detected();
     ++total;
     hook_caught += hooked;

@@ -39,8 +39,12 @@ void print_table() {
         m, std::vector<std::string>{"rcmd*"},
         malware::TargetPolicy::only({"taskmgr.exe", "tlist.exe"}));
     core::ScanEngine gb(m, files_only());
-    const bool plain = gb.inside_scan().infection_detected();
-    const bool injected = gb.injected_scan().infection_detected();
+    const bool plain =
+        gb.run({.kind = core::ScanKind::kInside}).value().infection_detected();
+    const bool injected = gb
+                              .run({.kind = core::ScanKind::kInjected})
+                              .value()
+                              .infection_detected();
     std::printf("%-52s %-10s %-10s %-22s %s\n",
                 "HxDef hiding only from taskmgr/tlist",
                 plain ? "detected" : "missed",
@@ -52,8 +56,12 @@ void print_table() {
     malware::install_ghostware<malware::Vanquish>(
         m, malware::TargetPolicy::everyone_except({"ghostbuster.exe"}));
     core::ScanEngine gb(m, files_only());
-    const bool plain = gb.inside_scan().infection_detected();
-    const bool injected = gb.injected_scan().infection_detected();
+    const bool plain =
+        gb.run({.kind = core::ScanKind::kInside}).value().infection_detected();
+    const bool injected = gb
+                              .run({.kind = core::ScanKind::kInjected})
+                              .value()
+                              .infection_detected();
     std::printf("%-52s %-10s %-10s %-22s %s\n",
                 "Vanquish exempting ghostbuster.exe",
                 plain ? "detected" : "missed",
@@ -64,8 +72,12 @@ void print_table() {
     machine::Machine m(cfgs());
     malware::install_ghostware<malware::HackerDefender>(m);
     core::ScanEngine gb(m, files_only());
-    const bool plain = gb.inside_scan().infection_detected();
-    const bool injected = gb.injected_scan().infection_detected();
+    const bool plain =
+        gb.run({.kind = core::ScanKind::kInside}).value().infection_detected();
+    const bool injected = gb
+                              .run({.kind = core::ScanKind::kInjected})
+                              .value()
+                              .infection_detected();
     std::printf("%-52s %-10s %-10s %-22s %s\n", "HxDef hiding from everyone",
                 plain ? "detected" : "missed",
                 injected ? "detected" : "missed", "detected / detected",
@@ -77,7 +89,10 @@ void print_table() {
     core::ScanConfig av = files_only();
     av.scanner_image = "inocit.exe";
     const bool from_av =
-        core::ScanEngine(m, av).inside_scan().infection_detected();
+        core::ScanEngine(m, av)
+            .run({.kind = core::ScanKind::kInside})
+            .value()
+            .infection_detected();
     std::printf("%-52s %-10s %-10s %-22s %s\n",
                 "GhostBuster DLL injected into eTrust InocIT.exe", "-",
                 from_av ? "detected" : "missed", "detected",
@@ -91,7 +106,8 @@ void print_table() {
     }
     auto hider = std::make_shared<malware::Aphex>("innocent");
     hider->install(m);
-    const auto report = core::ScanEngine(m, files_only()).inside_scan();
+    core::ScanEngine engine(m, files_only());
+    const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
     const auto a = core::assess_anomaly(report.diffs);
     std::printf("%-52s %-10zu %-10s %-22s %s\n",
                 "mass hiding (100 innocent files + ghostware)",
@@ -102,7 +118,8 @@ void print_table() {
     machine::Machine m(cfgs());
     auto ghost = malware::install_ghostware<malware::IndexGhost>(m);
     core::ScanEngine gb(m, files_only());
-    const bool inside = gb.inside_scan().infection_detected();
+    const bool inside =
+        gb.run({.kind = core::ScanKind::kInside}).value().infection_detected();
     const bool hooks_seen =
         !core::suspicious_hooks(m, {}).empty();
     std::printf("%-52s %-10s %-10s %-22s %s\n",
@@ -116,7 +133,8 @@ void print_table() {
     machine::Machine m(cfgs());
     auto stasher = malware::install_ghostware<malware::AdsStasher>(m);
     core::ScanEngine gb(m, files_only());
-    const bool classic = gb.inside_scan().infection_detected();
+    const bool classic =
+        gb.run({.kind = core::ScanKind::kInside}).value().infection_detected();
     const auto ads = core::ads_scan(m);
     std::printf("%-52s %-10s %-10s %-22s %s\n",
                 "payload in alternate data stream",
@@ -132,7 +150,7 @@ void BM_InjectedScanAllProcesses(benchmark::State& state) {
   malware::install_ghostware<malware::HackerDefender>(m);
   core::ScanEngine gb(m, files_only());
   for (auto _ : state) {
-    auto report = gb.injected_scan();
+    auto report = gb.run({.kind = core::ScanKind::kInjected}).value();
     benchmark::DoNotOptimize(report);
   }
 }
@@ -143,7 +161,7 @@ void BM_PlainScanForComparison(benchmark::State& state) {
   malware::install_ghostware<malware::HackerDefender>(m);
   core::ScanEngine gb(m, files_only());
   for (auto _ : state) {
-    auto report = gb.inside_scan();
+    auto report = gb.run({.kind = core::ScanKind::kInside}).value();
     benchmark::DoNotOptimize(report);
   }
 }

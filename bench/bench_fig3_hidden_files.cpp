@@ -53,7 +53,8 @@ void print_table() {
   for (std::size_t i = 0; i < collection.size(); ++i) {
     machine::Machine m(bench_config());
     const auto ghost = collection[i].install(m);
-    const auto report = core::ScanEngine(m, files_only()).inside_scan();
+    core::ScanEngine engine(m, files_only());
+    const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
     const auto* diff = report.diff_for(core::ResourceType::kFile);
 
     // Exactness: the findings must be precisely the manifest's hidden set.
@@ -81,7 +82,7 @@ void BM_InsideFileScan(benchmark::State& state) {
   malware::install_ghostware<malware::HackerDefender>(m);
   core::ScanEngine gb(m, files_only());
   for (auto _ : state) {
-    auto report = gb.inside_scan();
+    auto report = gb.run({.kind = core::ScanKind::kInside}).value();
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -38,7 +38,8 @@ void print_table() {
   for (std::size_t i = 0; i < collection.size(); ++i) {
     machine::Machine m(bench_config());
     const auto ghost = collection[i].install(m);
-    const auto report = core::ScanEngine(m, registry_only()).inside_scan();
+    core::ScanEngine engine(m, registry_only());
+    const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
     const auto* diff = report.diff_for(core::ResourceType::kAsepHook);
 
     std::set<std::string> expected, actual;
@@ -70,7 +71,7 @@ void BM_InsideRegistryScan(benchmark::State& state) {
   malware::install_ghostware<malware::ProBotSe>(m);
   core::ScanEngine gb(m, registry_only());
   for (auto _ : state) {
-    auto report = gb.inside_scan();
+    auto report = gb.run({.kind = core::ScanKind::kInside}).value();
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -53,10 +53,14 @@ void print_table() {
                                    ? std::string("?")
                                    : ghost->manifest().hidden_processes[0];
     const auto basic = hidden_matching(
-        core::ScanEngine(m, proc_only(false)).inside_scan(),
+        core::ScanEngine(m, proc_only(false))
+            .run({.kind = core::ScanKind::kInside})
+            .value(),
         core::ResourceType::kProcess, needle);
     const auto advanced = hidden_matching(
-        core::ScanEngine(m, proc_only(true)).inside_scan(),
+        core::ScanEngine(m, proc_only(true))
+            .run({.kind = core::ScanKind::kInside})
+            .value(),
         core::ResourceType::kProcess, needle);
     std::printf("%-22s %-30s %-9s %-9s %s\n", entry.display_name.c_str(),
                 needle.c_str(), basic ? "detected" : "missed",
@@ -72,10 +76,14 @@ void print_table() {
         m.spawn_process("C:\\windows\\system32\\notepad.exe").pid();
     fu->hide_process(m, victim);
     const auto basic = hidden_matching(
-        core::ScanEngine(m, proc_only(false)).inside_scan(),
+        core::ScanEngine(m, proc_only(false))
+            .run({.kind = core::ScanKind::kInside})
+            .value(),
         core::ResourceType::kProcess, "notepad.exe");
     const auto advanced = hidden_matching(
-        core::ScanEngine(m, proc_only(true)).inside_scan(),
+        core::ScanEngine(m, proc_only(true))
+            .run({.kind = core::ScanKind::kInside})
+            .value(),
         core::ResourceType::kProcess, "notepad.exe");
     std::printf("%-22s %-30s %-9s %-9s %s\n", "FU (fu -ph <pid>)",
                 "notepad.exe (DKOM)", basic ? "detected" : "missed",
@@ -90,7 +98,8 @@ void print_table() {
     core::ScanConfig mod_cfg;
     mod_cfg.resources = core::ResourceMask::kModules;
     mod_cfg.parallelism = 1;
-    const auto report = core::ScanEngine(m, mod_cfg).inside_scan();
+    core::ScanEngine engine(m, mod_cfg);
+    const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
     const auto entries = hidden_matching(report, core::ResourceType::kModule,
                                          "vanquish.dll");
     std::printf("%-22s %-30s %-9s %-9s %s  (%zu processes)\n", "Vanquish",
@@ -113,7 +122,7 @@ void BM_CombinedProcessModuleScan(benchmark::State& state) {
   cfg.parallelism = 1;
   core::ScanEngine gb(m, cfg);
   for (auto _ : state) {
-    auto report = gb.inside_scan();
+    auto report = gb.run({.kind = core::ScanKind::kInside}).value();
     benchmark::DoNotOptimize(report);
   }
 }

@@ -30,7 +30,7 @@ core::ScanConfig files_and_registry() {
 
 std::size_t outside_file_fps(machine::Machine& m) {
   core::ScanEngine gb(m, files_and_registry());
-  const auto report = gb.outside_scan();
+  const auto report = gb.run({.kind = core::ScanKind::kOutside}).value();
   const auto* files = report.diff_for(core::ResourceType::kFile);
   return files ? files->hidden.size() : 0;
 }
@@ -44,8 +44,8 @@ void print_table() {
   {  // inside-the-box on a busy machine: zero.
     machine::Machine m(fp_config(true));
     m.run_for(VirtualClock::seconds(600));
-    const auto report =
-        core::ScanEngine(m, files_and_registry()).inside_scan();
+    core::ScanEngine engine(m, files_and_registry());
+    const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
     const auto fps = report.all_hidden().size();
     std::printf("%-44s %-9zu %-16s %s\n", "inside-the-box, busy machine",
                 fps, "0", bench::mark(fps == 0));
@@ -103,7 +103,7 @@ void BM_OutsideScanFull(benchmark::State& state) {
     machine::Machine m(fp_config(false));
     core::ScanEngine gb(m, files_and_registry());
     state.ResumeTiming();
-    auto report = gb.outside_scan();
+    auto report = gb.run({.kind = core::ScanKind::kOutside}).value();
     benchmark::DoNotOptimize(report);
   }
 }

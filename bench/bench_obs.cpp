@@ -65,7 +65,9 @@ core::Report scan_once(machine::Machine& m, std::size_t workers,
   cfg.parallelism = workers;
   cfg.metrics = registry;  // report tallies stay on in both arms; only
                            // the registry sink differs
-  return core::ScanEngine(m, cfg).inside_scan();
+  return core::ScanEngine(m, cfg)
+      .run({.kind = core::ScanKind::kInside})
+      .value();
 }
 
 struct ArmResult {

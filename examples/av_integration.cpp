@@ -61,7 +61,7 @@ int main() {
   cfg.scanner_image = "inocit.exe";
   cfg.resources = core::ResourceMask::kFiles | core::ResourceMask::kAseps;
   core::ScanEngine engine(m, cfg);
-  const auto report = engine.inside_scan();
+  const auto report = engine.run({.kind = core::ScanKind::kInside}).value();
   std::printf("[eTrust+GhostBuster DLL] cross-view diff from InocIT.exe:\n");
   for (const auto& f : report.all_hidden()) {
     std::printf("    HIDDEN %s\n", f.resource.display.c_str());

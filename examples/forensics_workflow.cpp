@@ -21,7 +21,8 @@ int main() {
   // Step 1: quick hidden-process scan — seconds.
   core::ScanConfig quick;
   quick.resources = core::ResourceMask::kProcesses;
-  const auto proc_report = core::ScanEngine(m, quick).inside_scan();
+  const auto proc_report =
+      core::ScanEngine(m, quick).run({.kind = core::ScanKind::kInside}).value();
   std::printf("[1] hidden-process scan (%.1f simulated s): %s\n",
               proc_report.total_simulated_seconds,
               proc_report.infection_detected() ? "INFECTED" : "clean");
@@ -29,7 +30,8 @@ int main() {
   // Step 2: locate the hidden ASEP hooks — under a minute.
   core::ScanConfig reg;
   reg.resources = core::ResourceMask::kAseps;
-  const auto reg_report = core::ScanEngine(m, reg).inside_scan();
+  const auto reg_report =
+      core::ScanEngine(m, reg).run({.kind = core::ScanKind::kInside}).value();
   std::printf("[2] hidden-ASEP scan (%.1f simulated s):\n",
               reg_report.total_simulated_seconds);
   for (const auto& f : reg_report.all_hidden()) {
@@ -38,7 +40,8 @@ int main() {
 
   // Step 3: full scan, then the removal workflow: delete hooks, reboot
   // (auto-start guard fails, rootkit stays down), delete visible files.
-  const auto full = core::ScanEngine(m).inside_scan();
+  const auto full =
+      core::ScanEngine(m).run({.kind = core::ScanKind::kInside}).value();
   const auto outcome = core::remove_ghostware(m, full);
   std::printf(
       "[3] removal: %zu hooks deleted, rebooted, %zu files deleted\n",

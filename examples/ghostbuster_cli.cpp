@@ -16,10 +16,6 @@
 //                                  of job N (client+wire+daemon+engine)
 //   gb status  --journal F ...     daemon health/SLO surface (kHealth)
 //
-// The pre-subcommand flag spelling (`ghostbuster_cli --infect ...`)
-// still works as a deprecated alias for `gb scan` (or `gb diff` for
-// --diff-reports) and prints a one-line warning on stderr.
-//
 // gb scan
 // -------
 //   gb scan [--infect name[,name...]] [--mode inside|injected|outside]
@@ -111,7 +107,6 @@
 //   gb poll   --journal /tmp/j.gbj --job 3
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -247,8 +242,13 @@ core::ScanKind parse_kind_or_exit(const std::string& mode) {
   std::exit(2);
 }
 
-/// `gb diff A.json B.json` (and the legacy --diff-reports alias).
-int run_report_diff(const std::string& path_a, const std::string& path_b) {
+/// `gb diff A.json B.json`.
+int cmd_diff(int argc, char** argv, int first) {
+  if (argc - first != 2) {
+    std::fprintf(stderr, "usage: gb diff A.json B.json\n");
+    return 2;
+  }
+  const std::string path_a = argv[first], path_b = argv[first + 1];
   auto slurp = [](const std::string& path) -> std::optional<std::string> {
     std::ifstream in(path, std::ios::binary);
     if (!in) return std::nullopt;
@@ -644,7 +644,6 @@ int cmd_scan(int argc, char** argv, int first) {
   std::size_t fleet_size = 0;
   std::size_t fleet_workers = 2;
   std::size_t rescans = 0;
-  std::string diff_report_a, diff_report_b;
 
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -679,10 +678,6 @@ int cmd_scan(int argc, char** argv, int first) {
     else if (arg == "--fleet") fleet_size = std::stoull(need_value());
     else if (arg == "--workers") fleet_workers = std::stoull(need_value());
     else if (arg == "--rescan") rescans = std::stoull(need_value());
-    else if (arg == "--diff-reports") {
-      diff_report_a = need_value();
-      diff_report_b = need_value();
-    }
     else {
       std::fprintf(stderr, "unknown argument: %s (see header comment)\n",
                    arg.c_str());
@@ -691,11 +686,6 @@ int cmd_scan(int argc, char** argv, int first) {
   }
 
   if (!trace_path.empty()) obs::default_tracer().enable();
-
-  // Report-diff alias: compare two saved reports, no machine involved.
-  if (!diff_report_a.empty()) {
-    return run_report_diff(diff_report_a, diff_report_b);
-  }
 
   // Offline mode: scan a saved disk image file from "the host".
   if (!scan_image.empty()) {
@@ -917,14 +907,6 @@ int cmd_scan(int argc, char** argv, int first) {
   return anything_found || infections.empty() ? 0 : 1;
 }
 
-int cmd_diff(int argc, char** argv, int first) {
-  if (argc - first != 2) {
-    std::fprintf(stderr, "usage: gb diff A.json B.json\n");
-    return 2;
-  }
-  return run_report_diff(argv[first], argv[first + 1]);
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: gb <scan|serve|submit|poll|trace|status|diff> "
@@ -936,14 +918,7 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    // The flag-era CLI with no arguments scanned a pristine machine;
-    // keep that alias alive for scripts.
-    std::fprintf(stderr,
-                 "ghostbuster_cli: flag-style invocation is deprecated; use "
-                 "`gb scan` (running `gb scan`)\n");
-    return cmd_scan(argc, argv, 1);
-  }
+  if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "scan") return cmd_scan(argc, argv, 2);
   if (cmd == "serve") return cmd_serve(argc, argv, 2);
@@ -952,21 +927,6 @@ int main(int argc, char** argv) {
   if (cmd == "trace") return cmd_trace(argc, argv, 2);
   if (cmd == "status") return cmd_status(argc, argv, 2);
   if (cmd == "diff") return cmd_diff(argc, argv, 2);
-  if (cmd.size() >= 1 && cmd[0] == '-') {
-    // Deprecated alias: the pre-subcommand flag soup. --diff-reports was
-    // its own mode; everything else was a scan.
-    const bool is_diff = [&] {
-      for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--diff-reports") == 0) return true;
-      }
-      return false;
-    }();
-    std::fprintf(stderr,
-                 "ghostbuster_cli: flag-style invocation is deprecated; use "
-                 "`gb %s %s...`\n",
-                 is_diff ? "diff" : "scan", is_diff ? "" : cmd.c_str());
-    return cmd_scan(argc, argv, 1);
-  }
   std::fprintf(stderr, "gb: unknown command '%s'\n", cmd.c_str());
   return usage();
 }

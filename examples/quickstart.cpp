@@ -35,7 +35,7 @@ int main() {
   //    kernel-list scans, then diff — one provider task graph, one
   //    executor per core.
   core::ScanEngine gb(m);
-  const auto report = gb.inside_scan();
+  const auto report = gb.run({.kind = core::ScanKind::kInside}).value();
   std::printf("\n%s", report.to_string().c_str());
   std::printf("simulated scan time: %.1f s\n", report.total_simulated_seconds);
   return report.infection_detected() ? 0 : 1;

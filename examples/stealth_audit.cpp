@@ -36,7 +36,8 @@ int main() {
   // --- 1. cross-view scans, advanced mode ---------------------------------
   core::ScanConfig audit;
   audit.processes.scheduler_view = true;  // advanced mode: DKOM-proof
-  const auto report = core::ScanEngine(m, audit).inside_scan();
+  const auto report =
+      core::ScanEngine(m, audit).run({.kind = core::ScanKind::kInside}).value();
   std::printf("%s\n", report.to_string().c_str());
 
   // --- 2. ADS hunt ----------------------------------------------------------

@@ -3,7 +3,8 @@
 # (GB_WERROR=ON, plus clang-tidy via GB_TIDY=1 in the environment when
 # installed), builds everything, and runs the full ctest suite — which
 # includes `ctest -L lint`: the gb-lint fixture self-tests plus the
-# zero-findings sweep over the real tree. Exits nonzero on any finding.
+# zero-findings sweep over the real tree — then the bench smokes and the
+# benchmark package's self-test. Exits nonzero on any finding.
 #
 #   scripts/check.sh                 # the documented pre-PR command
 #   GB_TIDY=1 scripts/check.sh      # also run the clang-tidy profile
@@ -89,6 +90,13 @@ if grep -q '"overhead_ok":false' "${BUILD_DIR}/bench_obs.json"; then
   echo "bench_obs: telemetry overhead exceeded the 3% budget" >&2
   exit 1
 fi
+
+echo "== gbbench self-test (the benchmark builds against the engine API)"
+# gbbench is its own CMake package compiled against ScanEngine, JobSpec,
+# ResourceScanner and OutsideSources, so an engine API change can break
+# it while ctest stays green. --selftest builds it (into .bench_build/),
+# proves every correctness check fires, and smoke-runs each workload.
+python3 gbbench/run.py --selftest
 
 echo "== thread-safety analysis (Clang -Wthread-safety over the annotations)"
 if command -v clang++ >/dev/null 2>&1; then

@@ -12,6 +12,26 @@ namespace {
 
 constexpr std::string_view kFailedViewName = "(scan failed)";
 
+/// One view's row of the "views" block: a completed view's name and
+/// count, or "(scan failed)" and why.
+ViewSummary summarize_view(const ViewInput& v) {
+  ViewSummary s;
+  s.id = v.id;
+  s.trust = v.trust;
+  if (v.ok()) {
+    s.name = v.result->view_name;
+    s.count = v.result->resources.size();
+  } else {
+    s.name = std::string(kFailedViewName);
+    // A null result with an OK status is a caller bug; never let it
+    // masquerade as a completed view.
+    s.status = v.status.ok()
+                   ? support::Status::internal("view produced no result")
+                   : v.status;
+  }
+  return s;
+}
+
 /// FNV-1a: stable across runs and platforms, unlike std::hash — the
 /// shard assignment is part of the deterministic contract.
 std::uint64_t fnv1a(std::string_view s) {
@@ -103,6 +123,41 @@ std::size_t ShardPlan::shards_for(std::size_t executors,
   return std::min(n, kMaxShards);
 }
 
+DiffReport cross_view_header(ResourceType type, ViewSummary api,
+                             std::span<const ViewInput> trusted) {
+  DiffReport report;
+  report.type = type;
+  report.views.reserve(1 + trusted.size());
+  report.views.push_back(std::move(api));
+  for (const auto& v : trusted) report.views.push_back(summarize_view(v));
+
+  // Pairwise projection: the API view vs. the *last* completed trusted
+  // view — the deepest truth source that ran.
+  report.high_view = report.views[0].name;
+  report.high_count = report.views[0].count;
+  report.low_view = std::string(kFailedViewName);
+  for (std::size_t v = report.views.size(); v-- > 1;) {
+    if (!report.views[v].degraded()) {
+      report.low_view = report.views[v].name;
+      report.low_trust = report.views[v].trust;
+      report.low_count = report.views[v].count;
+      break;
+    }
+  }
+
+  // Degradation: the first failed trusted view wins (registration
+  // order), then a failed API view. Matches the pairwise rule
+  // `low.ok() ? high.status() : low.status()`.
+  for (std::size_t v = 1; v < report.views.size(); ++v) {
+    if (report.views[v].degraded()) {
+      report.status = report.views[v].status;
+      break;
+    }
+  }
+  if (report.status.ok()) report.status = report.views[0].status;
+  return report;
+}
+
 DiffReport cross_view_matrix_diff(ResourceType type,
                                   const std::vector<ViewInput>& views,
                                   support::ThreadPool* pool,
@@ -111,68 +166,24 @@ DiffReport cross_view_matrix_diff(ResourceType type,
     throw std::invalid_argument(
         "cross_view_matrix_diff: needs at least the API view");
   }
-  DiffReport report;
-  report.type = type;
-  std::size_t total = 0;
   for (const auto& v : views) {
     if (v.ok() && v.result->type != type) {
       throw std::invalid_argument(
           "cross_view_matrix_diff: resource type mismatch");
     }
-    ViewSummary s;
-    s.id = v.id;
-    s.trust = v.trust;
-    if (v.ok()) {
-      s.name = v.result->view_name;
-      s.count = v.result->resources.size();
-      s.status = v.status;
-      total += s.count;
-    } else {
-      s.name = std::string(kFailedViewName);
-      // A null result with an OK status is a caller bug; never let it
-      // masquerade as a completed view.
-      s.status = v.status.ok()
-                     ? support::Status::internal("view produced no result")
-                     : v.status;
-    }
-    report.views.push_back(std::move(s));
   }
-
-  // Pairwise projection: the API view vs. the *last* completed trusted
-  // view — the deepest truth source that ran.
-  const ViewInput& api = views[0];
-  report.high_view = report.views[0].name;
-  report.high_count = report.views[0].count;
-  const ViewInput* low = nullptr;
-  for (std::size_t v = views.size(); v-- > 1;) {
-    if (views[v].ok()) {
-      low = &views[v];
-      break;
-    }
-  }
-  if (low != nullptr) {
-    report.low_view = low->result->view_name;
-    report.low_trust = low->trust;
-    report.low_count = low->result->resources.size();
-  } else {
-    report.low_view = std::string(kFailedViewName);
-  }
-
-  // Degradation: the first failed trusted view wins (registration
-  // order), then a failed API view. Matches the pairwise rule
-  // `low.ok() ? high.status() : low.status()`.
-  for (std::size_t v = 1; v < views.size(); ++v) {
-    if (!views[v].ok()) {
-      report.status = report.views[v].status;
-      break;
-    }
-  }
-  if (report.status.ok() && !api.ok()) report.status = report.views[0].status;
+  const std::span<const ViewInput> trusted(views.begin() + 1, views.end());
+  DiffReport report =
+      cross_view_header(type, summarize_view(views[0]), trusted);
 
   // Findings need the API view and at least one trusted view to have
   // completed; the surviving views still produce evidence when another
   // trusted view failed (the diff is degraded *and* has findings).
-  if (!api.ok() || low == nullptr) return report;
+  if (!views[0].ok() || std::ranges::none_of(trusted, &ViewInput::ok)) {
+    return report;
+  }
+  std::size_t total = 0;
+  for (const auto& s : report.views) total += s.count;
 
   std::vector<MergeView> mv;
   mv.reserve(views.size());

@@ -17,6 +17,8 @@
 // diff is the N == 2 special case.
 #pragma once
 
+#include <span>
+
 #include "core/scan_result.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
@@ -122,6 +124,16 @@ struct ShardPlan {
   [[nodiscard]] static std::size_t shards_for(std::size_t executors,
                                               std::size_t requested = 0);
 };
+
+/// The header half of an N-view diff — everything but the findings: the
+/// "views" block (`api` first, then one row per trusted view; a failed
+/// view is named "(scan failed)"), the pairwise projection onto the last
+/// completed trusted view, and the degradation status (the first failed
+/// trusted view, else the API view's). cross_view_matrix_diff builds its
+/// header here; so does a caller whose API row is not one scan (the
+/// injected sweep's union over every process).
+[[nodiscard]] DiffReport cross_view_header(ResourceType type, ViewSummary api,
+                                           std::span<const ViewInput> trusted);
 
 /// Diffs N views of one resource type into a presence matrix.
 /// views[0] is the API view; the rest are trusted views in registration

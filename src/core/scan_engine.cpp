@@ -1,10 +1,14 @@
 #include "core/scan_engine.h"
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "core/scan_session.h"
@@ -29,72 +33,214 @@ std::size_t pool_workers(std::size_t parallelism) {
   return parallelism - 1;  // the calling thread is the other executor
 }
 
-void json_escape(std::ostringstream& os, std::string_view s) {
-  os << json_quote(s);
-}
-
-void json_id_array(std::ostringstream& os,
-                   const std::vector<std::string>& ids) {
-  os << '[';
-  bool first = true;
+std::string json_id_array(const std::vector<std::string>& ids) {
+  std::string out = "[";
   for (const auto& id : ids) {
-    if (!first) os << ',';
-    first = false;
-    json_escape(os, id);
+    if (out.size() > 1) out += ',';
+    out += json_quote(id);
   }
-  os << ']';
+  return out + ']';
 }
 
-/// Runs one provider view, converting any stray exception into an
-/// internal-error Status: a buggy provider degrades its own diff, it
-/// does not take down the worker or the session.
-template <typename F>
-support::StatusOr<ScanResult> guarded_scan(F&& f) {
-  try {
-    return f();
-  } catch (const std::exception& e) {
-    return support::Status::internal(e.what());
-  }
+bool cancelled(const JobSpec& job) {
+  return job.cancel != nullptr && job.cancel->cancelled();
 }
 
-/// One executed view in an engine task graph: its identity plus the
-/// outcome and the wall time the task took.
+/// "scan.<type>.<view>": the span every view task runs under.
+std::string view_span(const ResourceScanner& scanner, std::string_view view) {
+  return std::string("scan.") + resource_type_name(scanner.type()) + "." +
+         std::string(view);
+}
+
+/// One task of a scan phase: the provider slot whose outcomes it joins,
+/// the view it produces, its span, and the work itself.
+template <typename R>
+struct ViewTask {
+  std::size_t slot = 0;
+  std::string id;
+  TrustLevel trust = TrustLevel::kTruthApproximation;
+  std::string span;
+  std::function<support::StatusOr<R>()> run{};
+  /// Scanning process, recorded on the span (injected sweeps only).
+  std::string image{};
+};
+
+/// One executed task: its view identity, outcome and wall time.
+template <typename R>
 struct ViewOutcome {
   std::string id;
   TrustLevel trust = TrustLevel::kTruthApproximation;
-  support::StatusOr<ScanResult> result;
+  support::StatusOr<R> result;
   double wall = 0;
 };
 
-/// A (non-owning) view handed to the provider's diff policy.
-struct ViewRef {
-  std::string id;
-  TrustLevel trust = TrustLevel::kTruthApproximation;
-  const support::StatusOr<ScanResult>* result = nullptr;
-};
+/// Outcomes grouped by provider slot, each slot in task order.
+template <typename R>
+using Outcomes = std::vector<std::vector<ViewOutcome<R>>>;
 
-/// Builds one provider's diff from all its view outcomes (refs[0] is
-/// the API view). Failed views pass through as failed ViewInputs — the
-/// matrix differ degrades per-view, so the surviving views still yield
-/// findings. Simulated time charges the work of every completed view.
-DiffReport diff_views(const ResourceScanner& scanner,
-                      const ScanTaskContext& t,
-                      const std::vector<ViewRef>& refs,
-                      const machine::MachineProfile& profile) {
+/// The one task body of every scan phase. Runs `tasks` in a single
+/// parallel_for, each under its span and timed; a task that throws
+/// degrades its own view instead of taking down the worker or the
+/// session. A raised token discards the whole phase: some views may be
+/// missing or half-collected, and a torn report must never pass for a
+/// merely degraded one.
+template <typename R>
+support::StatusOr<Outcomes<R>> run_tasks(support::ThreadPool& pool,
+                                         const JobSpec& job, std::size_t slots,
+                                         const std::vector<ViewTask<R>>& tasks,
+                                         std::string_view what) {
+  Outcomes<R> out(slots);
+  std::vector<std::size_t> index(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    auto& slot = out[tasks[i].slot];
+    index[i] = slot.size();
+    slot.push_back(ViewOutcome<R>{tasks[i].id, tasks[i].trust, {}, 0});
+  }
+  if (job.progress != nullptr) {
+    job.progress->total.fetch_add(static_cast<std::uint32_t>(tasks.size()));
+  }
+  pool.parallel_for(
+      tasks.size(),
+      [&](std::size_t i) {
+        const ViewTask<R>& task = tasks[i];
+        ViewOutcome<R>& o = out[task.slot][index[i]];
+        auto span = obs::default_tracer().span(task.span, "provider");
+        if (!task.image.empty()) span.arg("image", task.image);
+        const auto start = SteadyClock::now();
+        try {
+          o.result = task.run();
+        } catch (const std::exception& e) {
+          o.result = support::Status::internal(e.what());
+        }
+        o.wall = seconds_since(start);
+        if (job.progress != nullptr) job.progress->done.fetch_add(1);
+      },
+      job.cancel);
+  if (cancelled(job)) {
+    return support::Status::cancelled(std::string(what) + " cancelled");
+  }
+  return out;
+}
+
+/// Appends provider slot `slot`'s tasks: its API view from `api_ctx`'s
+/// process (when given), then each of `defs` over `src` (null in the
+/// live phase), spanned "scan.<type>.<prefix><id>".
+void add_view_tasks(std::vector<ViewTask<ScanResult>>& tasks,
+                    std::size_t slot, const ResourceScanner& scanner,
+                    const ScanTaskContext& t, const winapi::Ctx* api_ctx,
+                    std::vector<ResourceScanner::ViewDef> defs,
+                    const OutsideSources* src = nullptr,
+                    std::string_view prefix = "") {
+  if (api_ctx != nullptr) {
+    tasks.push_back({slot, kApiViewId, TrustLevel::kApiView,
+                     view_span(scanner, "high"), [&scanner, &t, api_ctx] {
+                       return scanner.high_scan(t, *api_ctx);
+                     }});
+  }
+  for (auto& def : defs) {
+    tasks.push_back({slot, def.id, def.trust,
+                     view_span(scanner, std::string(prefix) + def.id),
+                     [run = std::move(def.run), &t, src] {
+                       return run(t, src);
+                     }});
+  }
+}
+
+ViewInput view_input(const std::string& id, TrustLevel trust,
+                     const support::StatusOr<ScanResult>& result) {
+  return result.ok() ? ViewInput{id, trust, &*result, {}}
+                     : ViewInput{id, trust, nullptr, result.status()};
+}
+
+/// Charges views to the run's tally — each one a scan attempted, each
+/// failure a scan failure — and returns the work of those that completed.
+machine::ScanWork charge(std::span<const ViewInput> views,
+                         Report::Metrics& tally) {
   machine::ScanWork work;
-  std::vector<ViewInput> inputs(refs.size());
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    inputs[i].id = refs[i].id;
-    inputs[i].trust = refs[i].trust;
-    if (refs[i].result->ok()) {
-      inputs[i].result = &**refs[i].result;
-      work += (*refs[i].result)->work;
+  for (const auto& v : views) {
+    if (v.ok()) {
+      work += v.result->work;
     } else {
-      inputs[i].status = refs[i].result->status();
+      ++tally.scan_failures;
     }
   }
+  tally.provider_scans += views.size();
+  return work;
+}
+
+/// The one diff reduction: one provider's API view plus its trusted view
+/// outcomes through the provider's diff policy. Failed views pass through
+/// as failed ViewInputs — the matrix differ degrades per view, so the
+/// surviving views still yield findings. Simulated time charges the work
+/// of every completed view; wall time sums the views' tasks (`api_wall`
+/// is 0 when the API view was captured in an earlier phase) and the diff.
+DiffReport diff_views(const ResourceScanner& scanner, const ScanTaskContext& t,
+                      const support::StatusOr<ScanResult>& api, double api_wall,
+                      std::span<const ViewOutcome<ScanResult>> trusted,
+                      Report::Metrics& tally) {
+  std::vector<ViewInput> inputs{
+      view_input(kApiViewId, TrustLevel::kApiView, api)};
+  double wall = api_wall;
+  for (const auto& o : trusted) {
+    inputs.push_back(view_input(o.id, o.trust, o.result));
+    wall += o.wall;
+  }
+  const machine::ScanWork work = charge(inputs, tally);
+  auto span = obs::default_tracer().span(
+      std::string("diff.") + resource_type_name(scanner.type()), "diff");
+  const auto start = SteadyClock::now();
   DiffReport d = scanner.diff(t, inputs);
-  d.simulated_seconds = estimate_seconds(profile, work);
+  d.simulated_seconds = estimate_seconds(t.machine.config().profile, work);
+  d.wall_seconds = wall + seconds_since(start);
+  return d;
+}
+
+/// One process's API view in an injected sweep, already diffed against
+/// the provider's trusted snapshots: all the reduction keeps of it.
+struct InjectedScan {
+  std::vector<Finding> hidden;
+  std::size_t high_count = 0;
+  machine::ScanWork work;
+};
+
+/// The injected reduction for one provider. The differ builds the header
+/// over the trusted rows; the API row stands for every per-process scan
+/// (largest count, first failure in pid order) and the findings are
+/// their union — pid-major, first finding per key wins, so the result is
+/// the serial per-process loop's whichever worker ran which scan.
+DiffReport injected_diff(const ResourceScanner& scanner,
+                         const ScanTaskContext& t,
+                         std::span<const ViewInput> trusted_rows,
+                         const std::vector<ViewOutcome<ScanResult>>& trusted,
+                         std::vector<ViewOutcome<InjectedScan>>& scans,
+                         Report::Metrics& tally) {
+  ViewSummary api;
+  api.id = kApiViewId;
+  api.name = "injected scans (all processes)";
+  api.trust = TrustLevel::kApiView;
+  machine::ScanWork work = charge(trusted_rows, tally);
+  double wall = 0;
+  for (const auto& o : trusted) wall += o.wall;
+  std::map<std::string, Finding> hidden;
+  for (auto& o : scans) {
+    wall += o.wall;
+    if (!o.result.ok()) {
+      ++tally.scan_failures;
+      if (api.status.ok()) api.status = o.result.status();
+      continue;
+    }
+    api.count = std::max(api.count, o.result->high_count);
+    work += o.result->work;
+    for (auto& f : o.result->hidden) {
+      hidden.try_emplace(f.resource.key, std::move(f));
+    }
+  }
+  tally.provider_scans += scans.size();
+  DiffReport d =
+      cross_view_header(scanner.type(), std::move(api), trusted_rows);
+  for (auto& [key, f] : hidden) d.hidden.push_back(std::move(f));
+  d.simulated_seconds = estimate_seconds(t.machine.config().profile, work);
+  d.wall_seconds = wall;
   return d;
 }
 
@@ -196,9 +342,8 @@ std::string Report::to_json() const {
      << ",\"wall_seconds\":" << total_wall_seconds
      << ",\"worker_threads\":" << worker_threads << ",\"scheduler\":";
   if (scheduler) {
-    os << "{\"tenant\":";
-    json_escape(os, scheduler->tenant);
-    os << ",\"job_id\":" << scheduler->job_id
+    os << "{\"tenant\":" << json_quote(scheduler->tenant)
+       << ",\"job_id\":" << scheduler->job_id
        << ",\"priority\":" << scheduler->priority
        << ",\"queue_seconds\":" << scheduler->queue_seconds << '}';
   } else {
@@ -217,9 +362,8 @@ std::string Report::to_json() const {
   os << ",\"incremental\":";
   if (incremental) {
     os << "{\"incremental\":" << (incremental->incremental ? "true" : "false")
-       << ",\"fallback_reason\":";
-    json_escape(os, incremental->fallback_reason);
-    os << ",\"journal_id\":" << incremental->journal_id
+       << ",\"fallback_reason\":" << json_quote(incremental->fallback_reason)
+       << ",\"journal_id\":" << incremental->journal_id
        << ",\"cursor\":" << incremental->cursor
        << ",\"journal_records\":" << incremental->journal_records
        << ",\"records_reparsed\":" << incremental->records_reparsed
@@ -232,37 +376,28 @@ std::string Report::to_json() const {
   for (const auto& d : diffs) {
     if (!first_diff) os << ',';
     first_diff = false;
-    os << "{\"type\":";
-    json_escape(os, resource_type_name(d.type));
-    os << ",\"status\":" << (d.degraded() ? "\"degraded\"" : "\"ok\"")
+    os << "{\"type\":" << json_quote(resource_type_name(d.type))
+       << ",\"status\":" << (d.degraded() ? "\"degraded\"" : "\"ok\"")
        << ",\"degraded\":" << (d.degraded() ? "true" : "false")
-       << ",\"error\":";
-    json_escape(os, d.degraded() ? d.status.to_string() : "");
-    os << ",\"views\":[";
+       << ",\"error\":" << json_quote(d.degraded() ? d.status.to_string() : "")
+       << ",\"views\":[";
     bool first_view = true;
     for (const auto& v : d.views) {
       if (!first_view) os << ',';
       first_view = false;
-      os << "{\"id\":";
-      json_escape(os, v.id);
-      os << ",\"name\":";
-      json_escape(os, v.name);
-      os << ",\"trust\":";
-      json_escape(os, trust_level_name(v.trust));
-      os << ",\"count\":" << v.count
+      os << "{\"id\":" << json_quote(v.id)
+         << ",\"name\":" << json_quote(v.name)
+         << ",\"trust\":" << json_quote(trust_level_name(v.trust))
+         << ",\"count\":" << v.count
          << ",\"status\":" << (v.degraded() ? "\"degraded\"" : "\"ok\"")
          << ",\"degraded\":" << (v.degraded() ? "true" : "false")
-         << ",\"error\":";
-      json_escape(os, v.degraded() ? v.status.to_string() : "");
-      os << '}';
+         << ",\"error\":"
+         << json_quote(v.degraded() ? v.status.to_string() : "") << '}';
     }
-    os << "],\"high_view\":";
-    json_escape(os, d.high_view);
-    os << ",\"low_view\":";
-    json_escape(os, d.low_view);
-    os << ",\"trust\":";
-    json_escape(os, trust_level_name(d.low_trust));
-    os << ",\"high_count\":" << d.high_count
+    os << "],\"high_view\":" << json_quote(d.high_view)
+       << ",\"low_view\":" << json_quote(d.low_view)
+       << ",\"trust\":" << json_quote(trust_level_name(d.low_trust))
+       << ",\"high_count\":" << d.high_count
        << ",\"low_count\":" << d.low_count
        << ",\"simulated_seconds\":" << d.simulated_seconds
        << ",\"wall_seconds\":" << d.wall_seconds << ",\"hidden\":[";
@@ -270,15 +405,10 @@ std::string Report::to_json() const {
     for (const auto& f : d.hidden) {
       if (!first) os << ',';
       first = false;
-      os << "{\"key\":";
-      json_escape(os, f.resource.key);
-      os << ",\"display\":";
-      json_escape(os, f.resource.display);
-      os << ",\"found_in\":";
-      json_id_array(os, f.found_in);
-      os << ",\"missing_from\":";
-      json_id_array(os, f.missing_from);
-      os << '}';
+      os << "{\"key\":" << json_quote(f.resource.key)
+         << ",\"display\":" << json_quote(f.resource.display)
+         << ",\"found_in\":" << json_id_array(f.found_in)
+         << ",\"missing_from\":" << json_id_array(f.missing_from) << '}';
     }
     os << "],\"extra_count\":" << d.extra.size() << '}';
   }
@@ -310,7 +440,7 @@ winapi::Ctx ScanEngine::scanner_context() {
 }
 
 void ScanEngine::finalize(Report& report, double wall_seconds,
-                          const char* kind, const ScanTally& tally) {
+                          const char* kind, const Report::Metrics& tally) {
   for (auto& d : report.diffs) {
     report.total_simulated_seconds += d.simulated_seconds;
   }
@@ -323,9 +453,7 @@ void ScanEngine::finalize(Report& report, double wall_seconds,
   // The report block holds only deterministic quantities (counts and
   // simulated time); wall-clock observations go to the registry, which
   // never feeds back into report bytes.
-  Report::Metrics m;
-  m.provider_scans = tally.provider_scans;
-  m.scan_failures = tally.scan_failures;
+  Report::Metrics m = tally;
   for (const auto& d : report.diffs) {
     if (d.degraded()) ++m.degraded_diffs;
     m.hidden_resources += d.hidden.size();
@@ -353,10 +481,6 @@ void ScanEngine::finalize(Report& report, double wall_seconds,
       .observe(wall_seconds);
 }
 
-ScanTaskContext ScanEngine::task_context() {
-  return ScanTaskContext{machine_, &pool_, cfg_};
-}
-
 void ScanEngine::flush_hives_if_needed() {
   if (!cfg_.registry.flush_hives_first) return;
   for (const auto& s : scanners_) {
@@ -374,7 +498,6 @@ support::StatusOr<Report> ScanEngine::run(const JobSpec& spec) {
   // would detach the engine spans from their sched.job parent.
   std::optional<obs::TraceContextScope> trace_scope;
   if (spec.trace.valid()) trace_scope.emplace(spec.trace);
-  const RunCtl ctl{spec.cancel, spec.progress};
   if (spec.session != nullptr) {
     // Incremental re-scan: the session's own engine (and snapshot store)
     // does the work; this engine's machine/config are not involved. Same
@@ -388,9 +511,9 @@ support::StatusOr<Report> ScanEngine::run(const JobSpec& spec) {
     return spec.session->rescan(spec.cancel, spec.progress);
   }
   switch (spec.kind) {
-    case ScanKind::kInside: return inside_scan_impl(ctl);
-    case ScanKind::kInjected: return injected_scan_impl(ctl);
-    case ScanKind::kOutside: return outside_scan_impl(ctl);
+    case ScanKind::kInside: return run_inside(spec);
+    case ScanKind::kInjected: return run_injected(spec);
+    case ScanKind::kOutside: return run_outside(spec);
   }
   return support::Status::internal("unknown scan kind");
 }
@@ -399,122 +522,49 @@ ScanSession ScanEngine::open_session(SessionSpec spec) {
   return ScanSession(*this, spec);
 }
 
-Report ScanEngine::inside_scan() {
-  return std::move(inside_scan_impl(RunCtl{})).value();
-}
-
-Report ScanEngine::injected_scan() {
-  return std::move(injected_scan_impl(RunCtl{})).value();
-}
-
-InsideCapture ScanEngine::capture_inside_high() {
-  return capture_inside_high_impl(RunCtl{});
-}
+InsideCapture ScanEngine::capture_inside_high() { return capture(JobSpec{}); }
 
 Report ScanEngine::outside_diff(const InsideCapture& capture) {
-  return std::move(outside_diff_impl(capture, RunCtl{})).value();
+  return diff_capture(capture, JobSpec{}).value();
 }
 
-Report ScanEngine::outside_scan() {
-  return std::move(outside_scan_impl(RunCtl{})).value();
-}
-
-support::StatusOr<Report> ScanEngine::inside_scan_impl(
-    const RunCtl& ctl, internal::SessionState* session) {
-  if (ctl.cancelled()) {
+support::StatusOr<Report> ScanEngine::run_inside(
+    const JobSpec& job, internal::SessionState* session) {
+  if (cancelled(job)) {
     return support::Status::cancelled("inside scan cancelled before start");
   }
   const auto t0 = SteadyClock::now();
   auto run_span = obs::default_tracer().span("engine.inside", "engine");
-  Report report;
   const auto ctx = scanner_context();
   flush_hives_if_needed();
   // Serial, after the flush (so journal entries from the flush are
   // replayed into the snapshot) and before any task (so the snapshot
   // never changes mid-scan).
   if (session != nullptr) sync_session(machine_, *session);
-  ScanTaskContext tctx = task_context();
+  ScanTaskContext tctx{machine_, &pool_, cfg_};
   tctx.session = session;
 
-  // One task per registered view — the API view plus every trusted view
-  // run independently; the file scans fan out further internally.
-  struct Provider {
-    std::vector<ResourceScanner::ViewDef> defs;  // trusted views
-    std::vector<ViewOutcome> outcomes;           // [0] = API, then defs
-  };
-  std::vector<Provider> providers(scanners_.size());
-  struct TaskRef {
-    std::size_t slot = 0;
-    std::size_t view = 0;
-  };
-  std::vector<TaskRef> tasks;
+  // One task per view: each provider's API view, then its live trusted
+  // views; the file scans fan out further internally.
+  std::vector<ViewTask<ScanResult>> tasks;
   for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    Provider& p = providers[s];
-    p.defs = scanners_[s]->trusted_views(ScanPhase::kLive, cfg_);
-    p.outcomes.resize(1 + p.defs.size());
-    p.outcomes[0].id = kApiViewId;
-    p.outcomes[0].trust = TrustLevel::kApiView;
-    for (std::size_t v = 0; v < p.defs.size(); ++v) {
-      p.outcomes[v + 1].id = p.defs[v].id;
-      p.outcomes[v + 1].trust = p.defs[v].trust;
-    }
-    for (std::size_t v = 0; v < p.outcomes.size(); ++v) {
-      tasks.push_back(TaskRef{s, v});
-    }
+    add_view_tasks(tasks, s, *scanners_[s], tctx, &ctx,
+                   scanners_[s]->trusted_views(ScanPhase::kLive, cfg_));
   }
-  ctl.add_total(static_cast<std::uint32_t>(tasks.size()));
-  pool_.parallel_for(
-      tasks.size(),
-      [&](std::size_t i) {
-        const TaskRef task = tasks[i];
-        const ResourceScanner& scanner = *scanners_[task.slot];
-        Provider& p = providers[task.slot];
-        ViewOutcome& out = p.outcomes[task.view];
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(scanner.type()) + "." +
-                (task.view == 0 ? "high" : out.id),
-            "provider");
-        const auto start = SteadyClock::now();
-        if (task.view == 0) {
-          out.result =
-              guarded_scan([&] { return scanner.high_scan(tctx, ctx); });
-        } else {
-          const auto& def = p.defs[task.view - 1];
-          out.result = guarded_scan([&] { return def.run(tctx, nullptr); });
-        }
-        out.wall = seconds_since(start);
-        ctl.add_done();
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
-    // Some views may be missing or half-collected: discard the lot
-    // rather than emit a report that looks degraded but is really torn.
-    return support::Status::cancelled("inside scan cancelled");
-  }
+  auto outcomes =
+      run_tasks(pool_, job, scanners_.size(), tasks, "inside scan");
+  if (!outcomes.ok()) return outcomes.status();
 
-  ScanTally tally;
-  const auto& profile = machine_.config().profile;
+  Report report;
+  Report::Metrics tally;
   for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    if (ctl.cancelled()) {
+    if (cancelled(job)) {
       return support::Status::cancelled("inside scan cancelled during diff");
     }
-    Provider& p = providers[s];
-    tally.provider_scans += p.outcomes.size();
-    double wall = 0;
-    std::vector<ViewRef> refs(p.outcomes.size());
-    for (std::size_t v = 0; v < p.outcomes.size(); ++v) {
-      if (!p.outcomes[v].result.ok()) ++tally.scan_failures;
-      wall += p.outcomes[v].wall;
-      refs[v] = ViewRef{p.outcomes[v].id, p.outcomes[v].trust,
-                        &p.outcomes[v].result};
-    }
-    auto span = obs::default_tracer().span(
-        std::string("diff.") + resource_type_name(scanners_[s]->type()),
-        "diff");
-    const auto start = SteadyClock::now();
-    DiffReport d = diff_views(*scanners_[s], tctx, refs, profile);
-    d.wall_seconds = wall + seconds_since(start);
-    report.diffs.push_back(std::move(d));
+    const auto& views = (*outcomes)[s];
+    report.diffs.push_back(diff_views(*scanners_[s], tctx, views[0].result,
+                                      views[0].wall,
+                                      std::span(views).subspan(1), tally));
   }
   if (session != nullptr) report.incremental = session->last;
   finalize(report, seconds_since(t0), "inside", tally);
@@ -533,258 +583,100 @@ support::StatusOr<Report> ScanEngine::inside_scan_impl(
   return report;
 }
 
-support::StatusOr<Report> ScanEngine::injected_scan_impl(const RunCtl& ctl) {
-  if (ctl.cancelled()) {
+support::StatusOr<Report> ScanEngine::run_injected(const JobSpec& job) {
+  if (cancelled(job)) {
     return support::Status::cancelled("injected scan cancelled before start");
   }
   const auto t0 = SteadyClock::now();
   auto run_span = obs::default_tracer().span("engine.injected", "engine");
-  Report report;
   flush_hives_if_needed();
-  const ScanTaskContext tctx = task_context();
-  // Per-job scans stay internally serial — the fan-out is already one
-  // task per (process, provider) job.
+  const ScanTaskContext tctx{machine_, &pool_, cfg_};
+  // Per-process scans stay internally serial — the fan-out is already
+  // one task per (process, provider).
   const ScanTaskContext serial_ctx{machine_, nullptr, cfg_};
 
-  // Trusted snapshots — every registered live view of every provider —
-  // taken concurrently.
-  struct Provider {
-    std::vector<ResourceScanner::ViewDef> defs;
-    std::vector<ViewOutcome> trusted;  // parallel to defs
-
-    [[nodiscard]] bool any_ok() const {
-      for (const auto& o : trusted) {
-        if (o.result.ok()) return true;
-      }
-      return false;
-    }
-  };
-  std::vector<Provider> providers(scanners_.size());
-  struct TaskRef {
-    std::size_t slot = 0;
-    std::size_t view = 0;
-  };
-  std::vector<TaskRef> snapshot_tasks;
+  // Phase 1: the trusted snapshots, every live view of every provider.
+  std::vector<ViewTask<ScanResult>> snapshot_tasks;
   for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    Provider& p = providers[s];
-    p.defs = scanners_[s]->trusted_views(ScanPhase::kLive, cfg_);
-    p.trusted.resize(p.defs.size());
-    for (std::size_t v = 0; v < p.defs.size(); ++v) {
-      p.trusted[v].id = p.defs[v].id;
-      p.trusted[v].trust = p.defs[v].trust;
-      snapshot_tasks.push_back(TaskRef{s, v});
+    add_view_tasks(snapshot_tasks, s, *scanners_[s], tctx, nullptr,
+                   scanners_[s]->trusted_views(ScanPhase::kLive, cfg_));
+  }
+  auto trusted = run_tasks(pool_, job, scanners_.size(), snapshot_tasks,
+                           "injected scan");
+  if (!trusted.ok()) return trusted.status();
+  // Each provider's trusted rows, shared by every per-process diff.
+  std::vector<std::vector<ViewInput>> rows(scanners_.size());
+  for (std::size_t s = 0; s < scanners_.size(); ++s) {
+    for (const auto& o : (*trusted)[s]) {
+      rows[s].push_back(view_input(o.id, o.trust, o.result));
     }
   }
-  ctl.add_total(static_cast<std::uint32_t>(snapshot_tasks.size()));
-  pool_.parallel_for(
-      snapshot_tasks.size(),
-      [&](std::size_t i) {
-        const TaskRef task = snapshot_tasks[i];
-        Provider& p = providers[task.slot];
-        auto span = obs::default_tracer().span(
-            std::string("scan.") +
-                resource_type_name(scanners_[task.slot]->type()) + "." +
-                p.trusted[task.view].id,
-            "provider");
-        const auto start = SteadyClock::now();
-        p.trusted[task.view].result = guarded_scan(
-            [&] { return p.defs[task.view].run(tctx, nullptr); });
-        p.trusted[task.view].wall = seconds_since(start);
-        ctl.add_done();
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
-    return support::Status::cancelled("injected scan cancelled");
-  }
 
-  // Scan contexts in pid order (envs() is a sorted map) — the order the
-  // deterministic reduction below walks.
-  std::vector<winapi::Ctx> ctxs;
+  // Phase 2: one API task per (process, provider), diffed against the
+  // snapshots inside the task. Contexts run in pid order (envs() is a
+  // sorted map), the order the reduction walks. A provider with no sound
+  // trusted snapshot gets no tasks — there is nothing to diff against.
+  std::vector<ViewTask<InjectedScan>> scan_tasks;
   for (const auto& [pid, env] : machine_.win32().envs()) {
-    auto ctx = machine_.context_for(pid);
+    const winapi::Ctx ctx = machine_.context_for(pid);
     if (ctx.image_name.empty() || ctx.image_name == "System") continue;
-    ctxs.push_back(std::move(ctx));
+    for (std::size_t s = 0; s < scanners_.size(); ++s) {
+      if (std::ranges::none_of(rows[s], &ViewInput::ok)) continue;
+      scan_tasks.push_back(
+          {s, kApiViewId, TrustLevel::kApiView,
+           view_span(*scanners_[s], "injected"),
+           [this, s, ctx, &rows, &serial_ctx]()
+               -> support::StatusOr<InjectedScan> {
+             const auto high = scanners_[s]->high_scan(serial_ctx, ctx);
+             if (!high.ok()) return high.status();
+             std::vector<ViewInput> inputs{
+                 view_input(kApiViewId, TrustLevel::kApiView, high)};
+             inputs.insert(inputs.end(), rows[s].begin(), rows[s].end());
+             return InjectedScan{scanners_[s]->diff(serial_ctx, inputs).hidden,
+                                 high->resources.size(), high->work};
+           },
+           ctx.image_name});
+    }
   }
+  auto scans = run_tasks(pool_, job, scanners_.size(), scan_tasks,
+                         "injected scan");
+  if (!scans.ok()) return scans.status();
 
-  // One job per (process, provider): high-level scan from inside that
-  // process, diffed against the trusted snapshots. Jobs run in any
-  // order. Providers with no sound trusted snapshot at all skip their
-  // jobs entirely — there is nothing to diff against.
-  struct Job {
-    DiffReport diff;
-    support::Status status;
-    std::size_t high_count = 0;
-    machine::ScanWork work;
-    double wall = 0;
-  };
-  std::vector<Job> jobs(ctxs.size() * scanners_.size());
-  ctl.add_total(static_cast<std::uint32_t>(jobs.size()));
-  pool_.parallel_for(
-      jobs.size(),
-      [&](std::size_t i) {
-        const winapi::Ctx& ctx = ctxs[i / scanners_.size()];
-        const std::size_t s = i % scanners_.size();
-        ctl.add_done();
-        const Provider& p = providers[s];
-        if (!p.any_ok()) return;
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(scanners_[s]->type()) +
-                ".injected",
-            "provider");
-        span.arg("image", ctx.image_name);
-        const auto start = SteadyClock::now();
-        const auto high = guarded_scan(
-            [&] { return scanners_[s]->high_scan(serial_ctx, ctx); });
-        Job& job = jobs[i];
-        if (!high.ok()) {
-          job.status = high.status();
-        } else {
-          std::vector<ViewInput> inputs(1 + p.trusted.size());
-          inputs[0].id = kApiViewId;
-          inputs[0].trust = TrustLevel::kApiView;
-          inputs[0].result = &*high;
-          for (std::size_t v = 0; v < p.trusted.size(); ++v) {
-            inputs[v + 1].id = p.trusted[v].id;
-            inputs[v + 1].trust = p.trusted[v].trust;
-            if (p.trusted[v].result.ok()) {
-              inputs[v + 1].result = &*p.trusted[v].result;
-            } else {
-              inputs[v + 1].status = p.trusted[v].result.status();
-            }
-          }
-          job.diff = cross_view_matrix_diff(scanners_[s]->type(), inputs);
-          job.high_count = high->resources.size();
-          job.work = high->work;
-        }
-        job.wall = seconds_since(start);
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
-    return support::Status::cancelled("injected scan cancelled");
-  }
-
-  // Deterministic reduction: pid-major, first finding per key wins —
-  // identical to the serial per-process loop regardless of which worker
-  // ran which job. A failed per-process scan marks the diff degraded
-  // (first failure in pid order) but the successes still merge.
-  ScanTally tally;
-  const auto& profile = machine_.config().profile;
+  Report report;
+  Report::Metrics tally;
   for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    Provider& p = providers[s];
-    DiffReport d;
-    d.type = scanners_[s]->type();
-    d.high_view = "injected scans (all processes)";
-
-    tally.provider_scans += p.trusted.size();
-    support::Status first_trusted_failure;
-    double wall = 0;
-    for (const auto& o : p.trusted) {
-      if (!o.result.ok()) {
-        ++tally.scan_failures;
-        if (first_trusted_failure.ok()) {
-          first_trusted_failure = o.result.status();
-        }
-      }
-      wall += o.wall;
-    }
-
-    ViewSummary api;
-    api.id = kApiViewId;
-    api.name = d.high_view;
-    api.trust = TrustLevel::kApiView;
-    d.views.push_back(api);
-    const ViewOutcome* last_ok = nullptr;
-    for (const auto& o : p.trusted) {
-      ViewSummary v;
-      v.id = o.id;
-      v.trust = o.trust;
-      if (o.result.ok()) {
-        v.name = o.result->view_name;
-        v.count = o.result->resources.size();
-        last_ok = &o;
-      } else {
-        v.name = "(scan failed)";
-        v.status = o.result.status();
-      }
-      d.views.push_back(std::move(v));
-    }
-
-    if (!p.any_ok()) {
-      d.low_view = "(scan failed)";
-      d.status = first_trusted_failure;
-      d.wall_seconds = wall;
-      report.diffs.push_back(std::move(d));
-      continue;
-    }
-    tally.provider_scans += ctxs.size();  // one injected high per process
-    std::map<std::string, Finding> hidden;
-    std::size_t high_count_max = 0;
-    machine::ScanWork work;
-    support::Status first_failure;
-    for (std::size_t c = 0; c < ctxs.size(); ++c) {
-      Job& job = jobs[c * scanners_.size() + s];
-      if (!job.status.ok()) {
-        ++tally.scan_failures;
-        if (first_failure.ok()) first_failure = job.status;
-      }
-      for (auto& f : job.diff.hidden) hidden.emplace(f.resource.key, f);
-      high_count_max = std::max(high_count_max, job.high_count);
-      work += job.work;
-      wall += job.wall;
-    }
-    d.views[0].count = high_count_max;
-    d.views[0].status = first_failure;
-    d.low_view = last_ok->result->view_name;
-    d.low_trust = last_ok->trust;
-    d.high_count = high_count_max;
-    d.low_count = last_ok->result->resources.size();
-    d.status = first_trusted_failure.ok() ? first_failure
-                                          : first_trusted_failure;
-    for (auto& [key, f] : hidden) d.hidden.push_back(f);
-    for (const auto& o : p.trusted) {
-      if (o.result.ok()) work += o.result->work;
-    }
-    d.simulated_seconds = estimate_seconds(profile, work);
-    d.wall_seconds = wall;
-    report.diffs.push_back(std::move(d));
+    report.diffs.push_back(
+        injected_diff(*scanners_[s], tctx, rows[s], (*trusted)[s],
+                      (*scans)[s], tally));
   }
   finalize(report, seconds_since(t0), "injected", tally);
   return report;
 }
 
-InsideCapture ScanEngine::capture_inside_high_impl(const RunCtl& ctl) {
+InsideCapture ScanEngine::capture(const JobSpec& job) {
   auto run_span = obs::default_tracer().span("engine.capture", "engine");
-  InsideCapture cap;
   const auto ctx = scanner_context();
-  const ScanTaskContext tctx = task_context();
-  cap.entries.resize(scanners_.size());
+  const ScanTaskContext tctx{machine_, &pool_, cfg_};
+  std::vector<ViewTask<ScanResult>> tasks;
   for (std::size_t s = 0; s < scanners_.size(); ++s) {
-    cap.entries[s].type = scanners_[s]->type();
+    add_view_tasks(tasks, s, *scanners_[s], tctx, &ctx, {});
   }
-  ctl.add_total(static_cast<std::uint32_t>(scanners_.size()));
-  pool_.parallel_for(
-      scanners_.size(),
-      [&](std::size_t s) {
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(scanners_[s]->type()) +
-                ".high",
-            "provider");
-        cap.entries[s].high =
-            guarded_scan([&] { return scanners_[s]->high_scan(tctx, ctx); });
-        ctl.add_done();
-      },
-      ctl.cancel);
-
+  auto outcomes = run_tasks(pool_, job, scanners_.size(), tasks, "capture");
+  InsideCapture cap;
+  if (!outcomes.ok()) return cap;  // cancelled: run_outside discards it
   bool want_dump = false;
-  for (const auto& s : scanners_) {
-    for (const auto& def : s->trusted_views(ScanPhase::kOutside, cfg_)) {
+  for (std::size_t s = 0; s < scanners_.size(); ++s) {
+    cap.entries.push_back(
+        {scanners_[s]->type(), std::move((*outcomes)[s][0].result)});
+    for (const auto& def :
+         scanners_[s]->trusted_views(ScanPhase::kOutside, cfg_)) {
       want_dump = want_dump || def.needs_dump;
     }
   }
   // A cancelled capture never blue-screens the machine: the job is being
   // abandoned, so we leave the box running instead of halting it for a
   // dump nobody will diff.
-  if (want_dump && !ctl.cancelled()) {
+  if (want_dump && !cancelled(job)) {
     // Keep the raw image regardless of whether it parses: the signature
     // carve sweeps bytes, not structures.
     cap.dump_bytes = machine_.bluescreen();
@@ -798,115 +690,59 @@ InsideCapture ScanEngine::capture_inside_high_impl(const RunCtl& ctl) {
   return cap;
 }
 
-support::StatusOr<Report> ScanEngine::outside_diff_impl(
-    const InsideCapture& cap, const RunCtl& ctl) {
+support::StatusOr<Report> ScanEngine::diff_capture(const InsideCapture& cap,
+                                                   const JobSpec& job) {
   if (machine_.running()) {
     throw std::logic_error(
         "outside_diff requires the machine to be powered off");
   }
-  if (ctl.cancelled()) {
+  if (cancelled(job)) {
     return support::Status::cancelled("outside diff cancelled before start");
   }
   const auto t0 = SteadyClock::now();
   auto run_span = obs::default_tracer().span("engine.outside_diff", "engine");
-  Report report;
-  const ScanTaskContext tctx = task_context();
+  const ScanTaskContext tctx{machine_, &pool_, cfg_};
   const OutsideSources sources{machine_.disk(),
                                cap.dump ? &*cap.dump : nullptr,
                                cap.dump_bytes, cap.dump_status};
 
-  // Match capture entries to providers by type (the capture may come
-  // from a different engine whose provider set differs).
-  struct Wanted {
-    const ResourceScanner* scanner = nullptr;
-    const InsideCapture::Entry* entry = nullptr;
-    std::vector<ResourceScanner::ViewDef> defs;
-    std::vector<ViewOutcome> outcomes;  // parallel to defs
-  };
-  std::vector<Wanted> wanted;
+  // Slot i diffs a capture entry against the clean views of the first
+  // provider of its type — the capture may come from a different engine
+  // whose provider set differs. One task per clean view of the powered-
+  // off disk and the captured dump (parsed and raw).
+  std::vector<std::pair<const InsideCapture::Entry*, const ResourceScanner*>>
+      slots;
+  std::vector<ViewTask<ScanResult>> tasks;
   for (const auto& entry : cap.entries) {
-    for (const auto& s : scanners_) {
-      if (s->type() == entry.type) {
-        Wanted w;
-        w.scanner = s.get();
-        w.entry = &entry;
-        w.defs = s->trusted_views(ScanPhase::kOutside, cfg_);
-        w.outcomes.resize(w.defs.size());
-        for (std::size_t v = 0; v < w.defs.size(); ++v) {
-          w.outcomes[v].id = w.defs[v].id;
-          w.outcomes[v].trust = w.defs[v].trust;
-        }
-        wanted.push_back(std::move(w));
-        break;
-      }
-    }
+    const auto it = std::find_if(
+        scanners_.begin(), scanners_.end(),
+        [&](const auto& s) { return s->type() == entry.type; });
+    if (it == scanners_.end()) continue;
+    add_view_tasks(tasks, slots.size(), **it, tctx, nullptr,
+                   (*it)->trusted_views(ScanPhase::kOutside, cfg_), &sources,
+                   "outside.");
+    slots.emplace_back(&entry, it->get());
   }
+  auto outcomes = run_tasks(pool_, job, slots.size(), tasks, "outside diff");
+  if (!outcomes.ok()) return outcomes.status();
 
-  // Clean-environment views of the powered-off disk and the captured
-  // dump (parsed and raw), one task per registered view.
-  struct TaskRef {
-    std::size_t slot = 0;
-    std::size_t view = 0;
-  };
-  std::vector<TaskRef> tasks;
-  for (std::size_t i = 0; i < wanted.size(); ++i) {
-    for (std::size_t v = 0; v < wanted[i].defs.size(); ++v) {
-      tasks.push_back(TaskRef{i, v});
-    }
-  }
-  ctl.add_total(static_cast<std::uint32_t>(tasks.size()));
-  pool_.parallel_for(
-      tasks.size(),
-      [&](std::size_t i) {
-        const TaskRef task = tasks[i];
-        Wanted& w = wanted[task.slot];
-        auto span = obs::default_tracer().span(
-            std::string("scan.") + resource_type_name(w.scanner->type()) +
-                ".outside." + w.outcomes[task.view].id,
-            "provider");
-        const auto start = SteadyClock::now();
-        w.outcomes[task.view].result = guarded_scan(
-            [&] { return w.defs[task.view].run(tctx, &sources); });
-        w.outcomes[task.view].wall = seconds_since(start);
-        ctl.add_done();
-      },
-      ctl.cancel);
-  if (ctl.cancelled()) {
-    return support::Status::cancelled("outside diff cancelled");
-  }
-
-  ScanTally tally;
-  const auto& profile = machine_.config().profile;
-  for (auto& w : wanted) {
-    tally.provider_scans += 1 + w.outcomes.size();  // capture + clean views
-    if (!w.entry->high.ok()) ++tally.scan_failures;
-    double wall = 0;
-    std::vector<ViewRef> refs(1 + w.outcomes.size());
-    refs[0] = ViewRef{kApiViewId, TrustLevel::kApiView, &w.entry->high};
-    for (std::size_t v = 0; v < w.outcomes.size(); ++v) {
-      if (!w.outcomes[v].result.ok()) ++tally.scan_failures;
-      wall += w.outcomes[v].wall;
-      refs[v + 1] = ViewRef{w.outcomes[v].id, w.outcomes[v].trust,
-                            &w.outcomes[v].result};
-    }
-    auto span = obs::default_tracer().span(
-        std::string("diff.") + resource_type_name(w.scanner->type()),
-        "diff");
-    const auto start = SteadyClock::now();
-    DiffReport d = diff_views(*w.scanner, tctx, refs, profile);
-    d.wall_seconds = wall + seconds_since(start);
-    report.diffs.push_back(std::move(d));
+  Report report;
+  Report::Metrics tally;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const auto& [entry, scanner] = slots[i];
+    report.diffs.push_back(diff_views(*scanner, tctx, entry->high, 0,
+                                      (*outcomes)[i], tally));
   }
   finalize(report, seconds_since(t0), "outside", tally);
   return report;
 }
 
-support::StatusOr<Report> ScanEngine::outside_scan_impl(const RunCtl& ctl) {
-  if (ctl.cancelled()) {
+support::StatusOr<Report> ScanEngine::run_outside(const JobSpec& job) {
+  if (cancelled(job)) {
     return support::Status::cancelled("outside scan cancelled before start");
   }
-  InsideCapture cap = capture_inside_high_impl(ctl);
-  if (ctl.cancelled()) {
+  const InsideCapture cap = capture(job);
+  if (cancelled(job)) {
     // The capture saw the token in time to skip the blue-screen, so the
     // machine is still running; a cancelled outside job leaves the box in
     // whatever lifecycle phase it reached (cooperative, not transactional).
@@ -917,7 +753,7 @@ support::StatusOr<Report> ScanEngine::outside_scan_impl(const RunCtl& ctl) {
   // Section 5's enterprise automation is quicker and needs no media.
   machine_.clock().advance(VirtualClock::seconds(
       cfg_.outside_boot == OutsideBoot::kWinPeCd ? 120.0 : 45.0));
-  return outside_diff_impl(cap, ctl);
+  return diff_capture(cap, job);
 }
 
 }  // namespace gb::core

@@ -1,19 +1,20 @@
 // ScanEngine: the parallel scan session API.
 //
 // A ScanEngine owns a worker pool, a typed ScanConfig, and a set of
-// ResourceScanner providers (core/resource_scanner.h), and runs the
-// paper's workflows as one generic task graph over them:
+// ResourceScanner providers (core/resource_scanner.h). run(JobSpec) runs
+// each of the paper's workflows as phases of one task runner — every view
+// of every provider is one task in one parallel_for — followed by one
+// diff reduction per provider:
 //
-//   inside_scan     — each provider's high (API) and low (trusted) views
-//                     run as independent tasks; the file scans split
-//                     further internally (chunked MFT batches, levelled
-//                     directory walk, sharded diff);
-//   injected_scan   — Section 5's DLL-injection extension fans one
-//                     high-level scan per (process, provider) across the
-//                     pool and merges findings deterministically;
-//   outside-the-box — capture_inside_high() on the infected machine,
-//                     blue-screen for the dump, power off, then
-//                     outside_diff() against the clean disk views.
+//   kInside   — each provider's API view and live trusted views; the file
+//               scans split further internally (chunked MFT batches,
+//               levelled directory walk, sharded diff);
+//   kInjected — Section 5's DLL-injection extension: the live trusted
+//               views, then one API scan per (process, provider), whose
+//               findings merge deterministically;
+//   kOutside  — capture_inside_high() on the infected machine (API views,
+//               blue-screen for the dump), power off, then outside_diff()
+//               against the clean views of the disk and the dump.
 //
 // Every parallel path is deterministic by construction — fixed batch
 // boundaries, ordered reductions, key-ordered shard merges — so a report
@@ -155,7 +156,7 @@ struct ScanConfig {
   /// Image whose process context runs the high-level scans. Spawned from
   /// C:\windows\system32\ if not already running.
   std::string scanner_image = "ghostbuster.exe";
-  /// Boot mechanism for outside_scan().
+  /// Boot mechanism of the outside-the-box run (ScanKind::kOutside).
   OutsideBoot outside_boot = OutsideBoot::kWinPeCd;
   /// Collect run telemetry: the deterministic "metrics" block in report
   /// JSON (schema v2.3) plus engine/pool counters in the registry below.
@@ -200,7 +201,7 @@ struct JobSpec {
   /// builds each job's engine from this; it forces parallelism to 1 —
   /// the fleet fan-out is the parallelism, a per-job pool would
   /// oversubscribe the shared workers.
-  ScanConfig config;
+  ScanConfig config{};
   /// Cooperative cancellation: checked at provider-task boundaries. A
   /// cancelled run returns Status kCancelled, never a torn report.
   /// ScanScheduler wires this to the ScanJob handle's token.
@@ -209,7 +210,7 @@ struct JobSpec {
   support::TaskCounter* progress = nullptr;
   /// Hook run on the freshly built engine before the scan (register
   /// extra providers, tweak instrumentation). Scheduler-only.
-  std::function<void(ScanEngine&)> configure_engine;
+  std::function<void(ScanEngine&)> configure_engine{};
   /// Completion hook, scheduler-only: invoked exactly once per submitted
   /// job — after a dispatched run finishes, when a queued job is
   /// cancelled, or when scheduler shutdown cancels it — with the
@@ -221,7 +222,7 @@ struct JobSpec {
   /// handle completes. ScanEngine::run ignores it. The hook may take its
   /// own locks but must not re-enter the scheduler.
   std::function<void(std::uint64_t job_id, support::StatusOr<Report>& result)>
-      on_complete;
+      on_complete{};
   /// Scheduled incremental re-scan: when set, ScanScheduler::submit runs
   /// session->rescan() — reusing the session's snapshot + journal cursor
   /// — instead of building a fresh engine, and `machine`/`config`/
@@ -241,7 +242,7 @@ struct JobSpec {
   /// that re-derives from the same id joins the very same trace without
   /// an extra round trip. Spans opened while the job runs — scheduler,
   /// engine, providers on the dispatching thread — parent under it.
-  obs::TraceContext trace;
+  obs::TraceContext trace{};
 };
 
 /// Provenance of one incremental re-scan, serialized as the report's
@@ -429,13 +430,14 @@ class ScanEngine {
  public:
   explicit ScanEngine(machine::Machine& m, ScanConfig cfg = {});
 
-  /// The unified entry point: dispatches on spec.kind and honors
-  /// spec.cancel / spec.progress. Returns the report, or Status
-  /// kCancelled when the token was raised before the scan completed (the
-  /// partial work is discarded whole — no torn report, no clock
-  /// advance). spec.machine/tenant/priority/config/configure_engine
-  /// describe the job to a scheduler; an already-constructed engine
-  /// ignores them. The named methods below are thin wrappers.
+  /// The entry point: dispatches on spec.kind and honors spec.cancel /
+  /// spec.progress. Returns the report, or Status kCancelled when the
+  /// token was raised before the scan completed (the partial work is
+  /// discarded whole — no torn report, no clock advance). The scan
+  /// advances the machine's virtual clock by its simulated time; an
+  /// outside run leaves the machine powered off. spec.machine/tenant/
+  /// priority/config/configure_engine describe the job to a scheduler;
+  /// an already-constructed engine ignores them.
   [[nodiscard]] support::StatusOr<Report> run(const JobSpec& spec);
 
   /// Opens an incremental scanning session against this engine's
@@ -444,98 +446,53 @@ class ScanEngine {
   /// outlive the session.
   [[nodiscard]] ScanSession open_session(SessionSpec spec = {});
 
-  // --- DEPRECATED named entry points ---------------------------------------
-  // Thin wrappers kept for existing callers and tests. New code uses
-  // run(JobSpec) — which carries cancellation, progress, and scheduler
-  // provenance — or open_session(SessionSpec) for repeat scans. The
-  // gb_lint rule `legacy-scan-entry` rejects new library-code callers.
+  // --- the outside-the-box run in two phases ------------------------------
+  // run(kOutside) is capture_inside_high(), shutdown, boot delay, then
+  // outside_diff(). Call the phases directly to act on the machine in
+  // between (halt a VM from the host, archive the dump, prove the diff
+  // refuses a running machine).
 
-  /// DEPRECATED: use run(JobSpec{.kind = ScanKind::kInside}).
-  /// Inside-the-box cross-view diff of all registered providers.
-  /// Advances the machine's virtual clock by the simulated scan time.
-  Report inside_scan();
-
-  /// DEPRECATED: use run(JobSpec{.kind = ScanKind::kInjected}).
-  /// DLL-injection mode: runs the high-level scans from within *every*
-  /// running process and unions the findings. A ghostware program that
-  /// hides from any process at all is caught.
-  Report injected_scan();
-
-  /// DEPRECATED: prefer run(JobSpec{.kind = ScanKind::kOutside}) for the
-  /// full workflow; use this pair only when the two phases must be
-  /// driven separately (e.g. examples/outside_box walkthrough).
-  /// Phase 1 of the outside-the-box workflow. Leaves the machine halted
-  /// (dump) or running (no dump) — callers shut it down next.
+  /// Phase 1: the API views on the live machine, then the blue-screen
+  /// dump if an outside view needs one. Leaves the machine halted (dump)
+  /// or running (no dump) — callers shut it down next.
   InsideCapture capture_inside_high();
 
-  /// DEPRECATED: see capture_inside_high().
   /// Phase 2: diffs the capture against the clean views of the powered-
-  /// off disk (WinPE) and the parsed dump. The machine must not be
-  /// running.
+  /// off disk (WinPE) and the captured dump. Throws std::logic_error if
+  /// the machine is running.
   Report outside_diff(const InsideCapture& capture);
-
-  /// DEPRECATED: use run(JobSpec{.kind = ScanKind::kOutside}).
-  /// Convenience: full outside-the-box run (capture, blue-screen,
-  /// shutdown, diff). The machine is left powered off.
-  Report outside_scan();
 
   /// Adds a provider after the defaults chosen by the config's resource
   /// mask. Its diff is appended to reports in registration order.
   void register_scanner(std::unique_ptr<ResourceScanner> scanner);
 
-  const ScanConfig& config() const { return cfg_; }
   machine::Machine& machine() { return machine_; }
-  const std::vector<std::unique_ptr<ResourceScanner>>& scanners() const {
-    return scanners_;
-  }
   /// Executors: pool workers + the calling thread.
   std::size_t worker_count() const { return pool_.size() + 1; }
-  support::ThreadPool& pool() { return pool_; }
 
  private:
-  /// Cancellation/progress plumbing for one run. Default-constructed =
-  /// uncancellable, unobserved (the named public methods' path).
-  struct RunCtl {
-    const support::CancelToken* cancel = nullptr;
-    support::TaskCounter* progress = nullptr;
-
-    [[nodiscard]] bool cancelled() const {
-      return cancel != nullptr && cancel->cancelled();
-    }
-    void add_total(std::uint32_t n) const {
-      if (progress != nullptr) progress->total.fetch_add(n);
-    }
-    void add_done(std::uint32_t n = 1) const {
-      if (progress != nullptr) progress->done.fetch_add(n);
-    }
-  };
-
-  /// With a session: syncs the snapshot against the change journal
-  /// (serially, after the hive flush so the flush's own journal records
-  /// are consumed too), lets the file/ASEP low scans splice from it, and
-  /// stamps the report's "incremental" block.
-  [[nodiscard]] support::StatusOr<Report> inside_scan_impl(
-      const RunCtl& ctl, internal::SessionState* session = nullptr);
-  [[nodiscard]] support::StatusOr<Report> injected_scan_impl(const RunCtl& ctl);
-  [[nodiscard]] support::StatusOr<Report> outside_scan_impl(const RunCtl& ctl);
-  InsideCapture capture_inside_high_impl(const RunCtl& ctl);
-  [[nodiscard]] support::StatusOr<Report> outside_diff_impl(
-      const InsideCapture& capture, const RunCtl& ctl);
-
-  /// Per-run deterministic scan tally, filled serially by each impl and
-  /// folded into Report::Metrics by finalize().
-  struct ScanTally {
-    std::uint64_t provider_scans = 0;
-    std::uint64_t scan_failures = 0;
-  };
+  /// The scan kinds, composed over the task runner in scan_engine.cpp;
+  /// `job` supplies the cancel token and progress sink. With a session,
+  /// run_inside first syncs the snapshot against the change journal
+  /// (after the hive flush, so the flush's own records are consumed too),
+  /// the file/ASEP low scans splice from it, and the report gets its
+  /// "incremental" block.
+  [[nodiscard]] support::StatusOr<Report> run_inside(
+      const JobSpec& job, internal::SessionState* session = nullptr);
+  [[nodiscard]] support::StatusOr<Report> run_injected(const JobSpec& job);
+  [[nodiscard]] support::StatusOr<Report> run_outside(const JobSpec& job);
+  InsideCapture capture(const JobSpec& job);
+  [[nodiscard]] support::StatusOr<Report> diff_capture(
+      const InsideCapture& capture, const JobSpec& job);
 
   winapi::Ctx scanner_context();
+  /// Totals the report, advances the clock, and — with telemetry on —
+  /// fills the metrics block from `tally` (the reductions' view counts).
   void finalize(Report& report, double wall_seconds, const char* kind,
-                const ScanTally& tally);
-  ScanTaskContext task_context();
+                const Report::Metrics& tally);
   void flush_hives_if_needed();
 
-  friend class ScanSession;  // drives inside_scan_impl with its state
+  friend class ScanSession;  // drives run_inside with its state
 
   machine::Machine& machine_;
   ScanConfig cfg_;

@@ -178,8 +178,10 @@ Report ScanSession::rescan() {
 
 support::StatusOr<Report> ScanSession::rescan(
     const support::CancelToken* cancel, support::TaskCounter* progress) {
-  return engine_->inside_scan_impl(ScanEngine::RunCtl{cancel, progress},
-                                   state_.get());
+  JobSpec job;
+  job.cancel = cancel;
+  job.progress = progress;
+  return engine_->run_inside(job, state_.get());
 }
 
 const IncrementalStats& ScanSession::last_sync() const { return state_->last; }

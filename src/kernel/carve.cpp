@@ -61,7 +61,7 @@ std::vector<std::uint64_t> read_directory(std::span<const std::byte> image) {
       r.skip(r.u16());
       r.skip(r.u16());
     }
-    const std::uint32_t n_proc = r.u32();
+    const std::uint32_t n_proc = r.count(8);
     std::vector<std::uint64_t> dir;
     dir.reserve(n_proc);
     for (std::uint32_t i = 0; i < n_proc; ++i) dir.push_back(r.u64());

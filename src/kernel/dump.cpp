@@ -31,11 +31,11 @@ struct DumpSections {
 
 DumpSections read_sections(ByteReader& r) {
   DumpSections s;
-  const std::uint32_t n_active = r.u32();
+  const std::uint32_t n_active = r.count(4);
   s.active.reserve(n_active);
   for (std::uint32_t i = 0; i < n_active; ++i) s.active.push_back(r.u32());
 
-  const std::uint32_t n_threads = r.u32();
+  const std::uint32_t n_threads = r.count(8);
   s.threads.reserve(n_threads);
   for (std::uint32_t i = 0; i < n_threads; ++i) {
     Thread t;
@@ -44,7 +44,7 @@ DumpSections read_sections(ByteReader& r) {
     s.threads.push_back(t);
   }
 
-  const std::uint32_t n_drivers = r.u32();
+  const std::uint32_t n_drivers = r.count(4);  // two u16-prefixed strings
   s.drivers.reserve(n_drivers);
   for (std::uint32_t i = 0; i < n_drivers; ++i) {
     Driver d;
@@ -53,7 +53,7 @@ DumpSections read_sections(ByteReader& r) {
     s.drivers.push_back(std::move(d));
   }
 
-  const std::uint32_t n_proc = r.u32();
+  const std::uint32_t n_proc = r.count(8);
   s.directory.reserve(n_proc);
   for (std::uint32_t i = 0; i < n_proc; ++i) s.directory.push_back(r.u64());
   return s;
@@ -107,7 +107,7 @@ KernelDump::ProcessImage parse_process_payload(ByteReader& r) {
   p.parent_pid = r.u32();
   p.image_name = read_str(r);
   p.image_path = read_str(r);
-  const std::uint32_t n_peb = r.u32();
+  const std::uint32_t n_peb = r.count(4);
   p.peb_modules.reserve(n_peb);
   for (std::uint32_t j = 0; j < n_peb; ++j) {
     PebModuleEntry m;
@@ -115,7 +115,7 @@ KernelDump::ProcessImage parse_process_payload(ByteReader& r) {
     m.name = read_str(r);
     p.peb_modules.push_back(std::move(m));
   }
-  const std::uint32_t n_kmod = r.u32();
+  const std::uint32_t n_kmod = r.count(4);
   p.kernel_modules.reserve(n_kmod);
   for (std::uint32_t j = 0; j < n_kmod; ++j) {
     KernelModule m;

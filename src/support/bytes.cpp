@@ -82,6 +82,17 @@ std::uint64_t ByteReader::u64() {
   return lo | (hi << 32);
 }
 
+std::uint32_t ByteReader::count(std::size_t min_elem_bytes) {
+  const std::size_t at = pos_;
+  const std::uint32_t n = u32();
+  if (min_elem_bytes != 0 && n > remaining() / min_elem_bytes) {
+    throw ParseError("element count " + std::to_string(n) + " at offset " +
+                     std::to_string(at) + " exceeds the " +
+                     std::to_string(remaining()) + " bytes left");
+  }
+  return n;
+}
+
 std::vector<std::byte> ByteReader::bytes(std::size_t count) {
   require(count);
   std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -69,6 +69,12 @@ class ByteReader {
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
+  /// Reads a u32 element count and bounds it by the input left: each
+  /// element occupies at least `min_elem_bytes`, so a count that could not
+  /// fit in remaining() throws ParseError before anything is sized from
+  /// it. Use it for every count that feeds reserve()/resize().
+  std::uint32_t count(std::size_t min_elem_bytes);
+
   /// Reads `count` raw bytes.
   std::vector<std::byte> bytes(std::size_t count);
   /// Reads `count` bytes as a string (may contain NULs).

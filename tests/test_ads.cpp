@@ -117,7 +117,10 @@ TEST(AdsScan, StasherDetectedOnlyByAdsScan) {
   core::ScanConfig cfg;
   cfg.resources = core::ResourceMask::kFiles;
   cfg.parallelism = 1;
-  EXPECT_FALSE(core::ScanEngine(m, cfg).inside_scan().infection_detected());
+  core::ScanEngine engine(m, cfg);
+  EXPECT_FALSE(engine.run({.kind = core::ScanKind::kInside})
+                   .value()
+                   .infection_detected());
 
   // The ADS scan finds it and names the stream.
   const auto report = core::ads_scan(m);

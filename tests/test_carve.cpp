@@ -19,6 +19,7 @@ namespace {
 
 using core::ResourceType;
 using core::ScanEngine;
+using core::ScanKind;
 
 machine::MachineConfig small_config() {
   machine::MachineConfig cfg;
@@ -136,7 +137,8 @@ TEST(CarveView, ScrubbedToGarbageDumpDegradesCarveViewWithoutTearing) {
   m.register_bluescreen_scrubber([](std::vector<std::byte>& bytes) {
     for (auto& b : bytes) b = std::byte{0xA5};  // total overwrite
   });
-  const auto report = ScanEngine(m, proc_only()).outside_scan();
+  const auto report =
+      ScanEngine(m, proc_only()).run({.kind = ScanKind::kOutside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   ASSERT_NE(procs, nullptr);
   EXPECT_TRUE(report.degraded());
@@ -159,7 +161,8 @@ TEST(CarveView, TruncatedDumpDegradesBothEvidenceViews) {
   m.register_bluescreen_scrubber([](std::vector<std::byte>& bytes) {
     bytes.resize(bytes.size() / 2);
   });
-  const auto report = ScanEngine(m, proc_only()).outside_scan();
+  const auto report =
+      ScanEngine(m, proc_only()).run({.kind = ScanKind::kOutside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   ASSERT_NE(procs, nullptr);
   EXPECT_TRUE(procs->degraded());
@@ -170,8 +173,8 @@ TEST(CarveView, TruncatedDumpDegradesBothEvidenceViews) {
 
 TEST(CarveView, CarveModeOffUnregistersTheView) {
   machine::Machine m(small_config());
-  const auto report =
-      ScanEngine(m, proc_only(false, core::CarveMode::kOff)).outside_scan();
+  ScanEngine engine(m, proc_only(false, core::CarveMode::kOff));
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   ASSERT_NE(procs, nullptr);
   ASSERT_EQ(procs->views.size(), 2u);  // api + threads only
@@ -189,7 +192,8 @@ TEST(DoubleFu, InvisibleToHighActiveListAndThreadTableViews) {
 
   // Miss 1 (API view) and miss 2 (Active Process List): the basic inside
   // scan diffs exactly those two views and stays silent.
-  const auto basic = ScanEngine(m, proc_only(false)).inside_scan();
+  const auto basic =
+      ScanEngine(m, proc_only(false)).run({.kind = ScanKind::kInside}).value();
   const auto* basic_procs = basic.diff_for(ResourceType::kProcess);
   ASSERT_NE(basic_procs, nullptr);
   EXPECT_EQ(hidden_named(*basic_procs, "notepad.exe"), 0u)
@@ -197,7 +201,8 @@ TEST(DoubleFu, InvisibleToHighActiveListAndThreadTableViews) {
 
   // Miss 3 (scheduler thread table): advanced mode — which catches
   // plain FU — is defeated by the second unlinking.
-  const auto advanced = ScanEngine(m, proc_only(true)).inside_scan();
+  const auto advanced =
+      ScanEngine(m, proc_only(true)).run({.kind = ScanKind::kInside}).value();
   const auto* adv_procs = advanced.diff_for(ResourceType::kProcess);
   ASSERT_NE(adv_procs, nullptr);
   ASSERT_NE(view_by_id(*adv_procs, "threads"), nullptr);
@@ -215,7 +220,8 @@ TEST(DoubleFu, OutsideCarveViewRecoversTheOrphanedRecord) {
   // The blue-screen scrubber erases the victim's linkage entries, so the
   // parsed dump's thread traversal misses it too — only the raw-bytes
   // signature sweep still sees the orphaned record.
-  const auto report = ScanEngine(m, proc_only()).outside_scan();
+  const auto report =
+      ScanEngine(m, proc_only()).run({.kind = ScanKind::kOutside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   ASSERT_NE(procs, nullptr);
   EXPECT_FALSE(procs->degraded()) << procs->status.to_string();
@@ -236,8 +242,8 @@ TEST(DoubleFu, LiveCarveViewCatchesItInsideTheBox) {
 
   // --carve: the live sweep serializes kernel memory directly, so the
   // blue-screen scrubber never runs and the record carves right out.
-  const auto report =
-      ScanEngine(m, proc_only(true, core::CarveMode::kOn)).inside_scan();
+  ScanEngine engine(m, proc_only(true, core::CarveMode::kOn));
+  const auto report = engine.run({.kind = ScanKind::kInside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   ASSERT_NE(procs, nullptr);
   EXPECT_EQ(hidden_named(*procs, "notepad.exe"), 1u) << report.to_string();
@@ -252,13 +258,15 @@ TEST(DoubleFu, UnhideRestoresEveryLinkage) {
       m.spawn_process("C:\\windows\\system32\\cmd.exe").pid();
   ASSERT_TRUE(fu2->hide_process(m, victim));
   ASSERT_TRUE(fu2->unhide_process(m, victim));
-  const auto report = ScanEngine(m, proc_only(true)).inside_scan();
+  const auto report =
+      ScanEngine(m, proc_only(true)).run({.kind = ScanKind::kInside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   ASSERT_NE(procs, nullptr);
   EXPECT_TRUE(procs->hidden.empty()) << report.to_string();
   // The scrubber pid list is empty again: an outside scan's dump keeps
   // its linkage and the thread view sees the process normally.
-  const auto outside = ScanEngine(m, proc_only()).outside_scan();
+  const auto outside =
+      ScanEngine(m, proc_only()).run({.kind = ScanKind::kOutside}).value();
   EXPECT_FALSE(outside.infection_detected()) << outside.to_string();
 }
 

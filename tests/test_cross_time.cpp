@@ -80,7 +80,8 @@ TEST(CrossTime, CatchesNonHidingMalwareThatCrossViewMisses) {
   m.registry().set_value(registry::kRunKey,
                          hive::Value::string("backdoor", "backdoor.exe"));
 
-  const auto cross_view = ScanEngine(m, serial_scan()).inside_scan();
+  const auto cross_view =
+      ScanEngine(m, serial_scan()).run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(cross_view.infection_detected());
 
   const auto diff = cross_time_diff(before, take_checkpoint(m));
@@ -109,7 +110,9 @@ TEST(CrossTime, RoutineActivityIsNoiseUntilFiltered) {
       << "unexpected surviving change: " << filtered[0].what;
 
   // Meanwhile cross-view on the same machine: zero findings, no filter.
-  EXPECT_FALSE(ScanEngine(m, serial_scan()).inside_scan().infection_detected());
+  ScanEngine engine(m, serial_scan());
+  EXPECT_FALSE(
+      engine.run({.kind = ScanKind::kInside}).value().infection_detected());
 }
 
 TEST(CrossTime, HidingMalwareCaughtByBothApproaches) {
@@ -123,7 +126,9 @@ TEST(CrossTime, HidingMalwareCaughtByBothApproaches) {
     if (icontains(c.what, "hxdef")) hxdef_change = true;
   }
   EXPECT_TRUE(hxdef_change);
-  EXPECT_TRUE(ScanEngine(m, serial_scan()).inside_scan().infection_detected());
+  ScanEngine engine(m, serial_scan());
+  EXPECT_TRUE(
+      engine.run({.kind = ScanKind::kInside}).value().infection_detected());
 }
 
 TEST(CrossTime, NoiseFilterIsADoubleEdgedSword) {

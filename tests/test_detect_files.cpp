@@ -9,6 +9,7 @@ namespace gb {
 namespace {
 
 using core::ScanEngine;
+using core::ScanKind;
 using core::ResourceType;
 
 machine::MachineConfig small_config() {
@@ -41,7 +42,8 @@ void expect_exact_hidden_files(const core::Report& report,
 
 TEST(DetectFiles, CleanMachineHasZeroFindings) {
   machine::Machine m(small_config());
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kFile);
   ASSERT_NE(diff, nullptr);
   EXPECT_TRUE(diff->hidden.empty()) << report.to_string();
@@ -61,7 +63,8 @@ TEST_P(Figure3Test, HiddenFilesDetectedExactly) {
   const auto ghost = entry.install(m);
 
   // Sanity: the high-level view really is lying (hidden file invisible).
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(report.infection_detected())
       << entry.display_name << "\n"
       << report.to_string();
@@ -78,7 +81,8 @@ TEST(DetectFiles, HackerDefenderIniPatternsHonored) {
   // A file matching a user pattern, created after install, is hidden from
   // the API view but caught by the raw MFT scan.
   m.volume().write_file("C:\\secret-stash.dat", "loot");
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kFile);
   ASSERT_NE(diff, nullptr);
   bool found = false;
@@ -95,7 +99,8 @@ TEST(DetectFiles, NativeOnlyNamesAreDetected) {
   machine::Machine m(small_config());
   m.volume().write_file("C:\\windows\\payload.", "trailing dot");
   m.volume().write_file("C:\\windows\\aux", "reserved name");
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kFile);
   ASSERT_NE(diff, nullptr);
   std::set<std::string> keys;
@@ -110,7 +115,8 @@ TEST(DetectFiles, DeepPathBeyondMaxPathDetected) {
   while (deep.size() < 300) deep += "\\sub";
   m.volume().create_directories(deep);
   m.volume().write_file(deep + "\\buried.exe", "MZ");
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kFile);
   bool found = false;
   for (const auto& f : diff->hidden) {
@@ -123,7 +129,8 @@ TEST(DetectFiles, MultipleGhostwareDetectedSimultaneously) {
   machine::Machine m(small_config());
   const auto hxdef = malware::install_ghostware<malware::HackerDefender>(m);
   const auto vanquish = malware::install_ghostware<malware::Vanquish>(m);
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kFile);
   ASSERT_NE(diff, nullptr);
   EXPECT_GE(diff->hidden.size(), hxdef->manifest().hidden_files.size() +
@@ -141,18 +148,21 @@ TEST(DetectFiles, FilterDriverScopingStillCaught) {
   hider->install(m);
 
   auto cfg = files_only();
-  const auto plain = ScanEngine(m, cfg).inside_scan();
+  const auto plain =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(plain.infection_detected());
 
   cfg.scanner_image = "explorer.exe";
-  const auto targeted = ScanEngine(m, cfg).inside_scan();
+  const auto targeted =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(targeted.infection_detected());
 }
 
 TEST(DetectFiles, ReportRendersDisplayStrings) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::Vanquish>(m);
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const std::string text = report.to_string();
   EXPECT_NE(text.find("HIDDEN"), std::string::npos);
   EXPECT_NE(text.find("vanquish"), std::string::npos);

@@ -10,6 +10,7 @@ namespace gb {
 namespace {
 
 using core::ScanEngine;
+using core::ScanKind;
 using core::ResourceType;
 
 machine::MachineConfig small_config() {
@@ -48,7 +49,8 @@ bool hidden_process_named(const core::Report& r, std::string_view image) {
 TEST(DetectProcesses, CleanMachineHasZeroFindings) {
   machine::Machine m(small_config());
   for (const bool advanced : {false, true}) {
-    const auto report = ScanEngine(m, proc_only(advanced)).inside_scan();
+    ScanEngine engine(m, proc_only(advanced));
+    const auto report = engine.run({.kind = ScanKind::kInside}).value();
     const auto* diff = report.diff_for(ResourceType::kProcess);
     ASSERT_NE(diff, nullptr);
     EXPECT_TRUE(diff->hidden.empty()) << report.to_string();
@@ -59,7 +61,8 @@ TEST(DetectProcesses, CleanMachineHasZeroFindings) {
 TEST(DetectProcesses, AphexIatHidingDetected) {
   machine::Machine m(small_config());
   const auto aphex = malware::install_ghostware<malware::Aphex>(m);
-  const auto report = ScanEngine(m, proc_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, proc_only()).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(hidden_process_named(report, "~aphex.exe"))
       << report.to_string();
 }
@@ -70,14 +73,16 @@ TEST(DetectProcesses, HackerDefenderDetectedWithinBasicMode) {
   // suffices because it hooks APIs rather than unlinking.
   machine::Machine m(small_config());
   malware::install_ghostware<malware::HackerDefender>(m);
-  const auto report = ScanEngine(m, proc_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, proc_only()).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(hidden_process_named(report, "hxdef100.exe"));
 }
 
 TEST(DetectProcesses, BerbewJmpPatchDetected) {
   machine::Machine m(small_config());
   const auto berbew = malware::install_ghostware<malware::Berbew>(m);
-  const auto report = ScanEngine(m, proc_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, proc_only()).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(hidden_process_named(report, berbew->process_name()))
       << report.to_string();
 }
@@ -90,12 +95,14 @@ TEST(DetectProcesses, FuRequiresAdvancedMode) {
 
   // Basic mode: the low-level scan walks the same (doctored) list, so the
   // diff is silent — the low-level scan no longer contains the truth.
-  const auto basic = ScanEngine(m, proc_only(false)).inside_scan();
+  const auto basic =
+      ScanEngine(m, proc_only(false)).run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(hidden_process_named(basic, "notepad.exe"))
       << basic.to_string();
 
   // Advanced mode walks the scheduler thread table and finds it.
-  const auto advanced = ScanEngine(m, proc_only(true)).inside_scan();
+  const auto advanced =
+      ScanEngine(m, proc_only(true)).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(hidden_process_named(advanced, "notepad.exe"))
       << advanced.to_string();
 }
@@ -110,7 +117,8 @@ TEST(DetectProcesses, FuHidingApiHookedGhostware) {
   ASSERT_NE(hxdef_pid, 0u);
   ASSERT_TRUE(fu->hide_process(m, hxdef_pid));
 
-  const auto advanced = ScanEngine(m, proc_only(true)).inside_scan();
+  const auto advanced =
+      ScanEngine(m, proc_only(true)).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(hidden_process_named(advanced, "hxdef100.exe"));
 }
 
@@ -120,14 +128,16 @@ TEST(DetectProcesses, FuUnhideRestoresCleanDiff) {
   const auto victim = m.spawn_process("C:\\windows\\system32\\cmd.exe").pid();
   fu->hide_process(m, victim);
   fu->unhide_process(m, victim);
-  const auto report = ScanEngine(m, proc_only(true)).inside_scan();
+  const auto report =
+      ScanEngine(m, proc_only(true)).run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(report.infection_detected()) << report.to_string();
 }
 
 TEST(DetectModules, VanquishBlankedPebEntryDetected) {
   machine::Machine m(small_config());
   const auto vanquish = malware::install_ghostware<malware::Vanquish>(m);
-  const auto report = ScanEngine(m, mod_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, mod_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kModule);
   ASSERT_NE(diff, nullptr);
   // vanquish.dll is injected into many processes; Figure 6 notes the
@@ -144,7 +154,8 @@ TEST(DetectModules, VanquishBlankedPebEntryDetected) {
 
 TEST(DetectModules, CleanMachineHasZeroFindings) {
   machine::Machine m(small_config());
-  const auto report = ScanEngine(m, mod_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, mod_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kModule);
   ASSERT_NE(diff, nullptr);
   EXPECT_TRUE(diff->hidden.empty()) << report.to_string();
@@ -155,7 +166,8 @@ TEST(DetectModules, HiddenProcessModulesSurfaceInModuleDiff) {
   // all of its modules show up as hidden too.
   machine::Machine m(small_config());
   malware::install_ghostware<malware::HackerDefender>(m);
-  const auto report = ScanEngine(m, mod_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, mod_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kModule);
   std::size_t hxdef_mods = 0;
   for (const auto& f : diff->hidden) {
@@ -176,7 +188,8 @@ TEST(DetectProcesses, CombinedScanMatchesPaperHeadline) {
   core::ScanConfig cfg;
   cfg.resources = core::ResourceMask::kProcesses | core::ResourceMask::kModules;
   cfg.parallelism = 1;
-  const auto report = ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(report.infection_detected());
   EXPECT_LT(report.total_simulated_seconds, 10.0);
   EXPECT_GT(report.total_simulated_seconds, 0.0);

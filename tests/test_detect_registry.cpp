@@ -12,6 +12,7 @@ namespace gb {
 namespace {
 
 using core::ScanEngine;
+using core::ScanKind;
 using core::ResourceType;
 
 machine::MachineConfig small_config() {
@@ -30,7 +31,8 @@ core::ScanConfig registry_only() {
 
 TEST(DetectRegistry, CleanMachineHasZeroFindings) {
   machine::Machine m(small_config());
-  const auto report = ScanEngine(m, registry_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, registry_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kAsepHook);
   ASSERT_NE(diff, nullptr);
   EXPECT_TRUE(diff->hidden.empty()) << report.to_string();
@@ -48,7 +50,8 @@ TEST_P(Figure4Test, HiddenAsepHooksDetectedExactly) {
   machine::Machine m(small_config());
   const auto ghost = entry.install(m);
 
-  const auto report = ScanEngine(m, registry_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, registry_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kAsepHook);
   ASSERT_NE(diff, nullptr) << entry.display_name;
 
@@ -75,7 +78,8 @@ TEST(DetectRegistry, EmbeddedNulValueNameDetected) {
   const std::string sneaky("Updater\0Svc", 11);
   m.registry().set_value(registry::kRunKey,
                          hive::Value::string(sneaky, "C:\\evil.exe"));
-  const auto report = ScanEngine(m, registry_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, registry_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kAsepHook);
   ASSERT_NE(diff, nullptr);
   bool found = false;
@@ -96,7 +100,8 @@ TEST(DetectRegistry, OverlongValueNameDetected) {
   const std::string long_name(300, 'q');
   m.registry().set_value(registry::kRunKey,
                          hive::Value::string(long_name, "C:\\evil.exe"));
-  const auto report = ScanEngine(m, registry_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, registry_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kAsepHook);
   bool found = false;
   for (const auto& f : diff->hidden) {
@@ -122,7 +127,8 @@ TEST(DetectRegistry, RegistryCallbackHidingDetected) {
   };
   m.registry().register_callback(std::move(cb));
 
-  const auto report = ScanEngine(m, registry_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, registry_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kAsepHook);
   bool found = false;
   for (const auto& f : diff->hidden) {
@@ -140,7 +146,8 @@ TEST(DetectRegistry, AppInitDataItemGranularity) {
       hive::Value::string(registry::kAppInitDllsValue, "legit.dll"));
   const auto urbin = malware::install_ghostware<malware::Urbin>(m);
 
-  const auto report = ScanEngine(m, registry_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, registry_only()).run({.kind = ScanKind::kInside}).value();
   const auto* diff = report.diff_for(ResourceType::kAsepHook);
   ASSERT_EQ(diff->hidden.size(), 1u) << report.to_string();
   EXPECT_EQ(diff->hidden[0].resource.key,
@@ -156,7 +163,8 @@ TEST(DetectRegistry, RemovalWorkflowDisablesGhostware) {
 
   core::ScanConfig all;
   all.parallelism = 1;
-  const auto report = ScanEngine(m, all).inside_scan();
+  const auto report =
+      ScanEngine(m, all).run({.kind = ScanKind::kInside}).value();
   ASSERT_TRUE(report.infection_detected());
 
   const auto outcome = core::remove_ghostware(m, report, all);
@@ -174,7 +182,8 @@ TEST(DetectRegistry, RemovalOfAppInitTrojan) {
   malware::install_ghostware<malware::Mersting>(m);
   core::ScanConfig cfg;
   cfg.parallelism = 1;
-  const auto report = ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInside}).value();
   ASSERT_TRUE(report.infection_detected());
   const auto outcome = core::remove_ghostware(m, report);
   EXPECT_TRUE(outcome.clean()) << outcome.verification.to_string();

@@ -139,7 +139,8 @@ TEST(IndexGhostTest, CaughtByInsideCrossViewDiff) {
   core::ScanConfig o;
   o.resources = core::ResourceMask::kFiles;
   o.parallelism = 1;
-  const auto report = core::ScanEngine(m, o).inside_scan();
+  const auto report =
+      core::ScanEngine(m, o).run({.kind = core::ScanKind::kInside}).value();
   ASSERT_TRUE(report.infection_detected());
   EXPECT_EQ(report.all_hidden()[0].resource.key,
             core::file_key(ghost->payload_path()));
@@ -163,7 +164,10 @@ TEST(IndexGhostTest, SurvivesRebootUnlikeHookBasedHiding) {
   core::ScanConfig o;
   o.resources = core::ResourceMask::kFiles;
   o.parallelism = 1;
-  EXPECT_TRUE(core::ScanEngine(m, o).inside_scan().infection_detected());
+  core::ScanEngine engine(m, o);
+  EXPECT_TRUE(engine.run({.kind = core::ScanKind::kInside})
+                  .value()
+                  .infection_detected());
 }
 
 TEST(IndexGhostTest, DefeatsEnumerationBasedOutsideScanButNotRawScan) {
@@ -175,7 +179,9 @@ TEST(IndexGhostTest, DefeatsEnumerationBasedOutsideScanButNotRawScan) {
   core::ScanConfig o;
   o.resources = core::ResourceMask::kFiles;
   o.parallelism = 1;
-  const auto outside = core::ScanEngine(m, o).outside_scan();  // enumeration-based
+  const auto outside = core::ScanEngine(m, o)
+                           .run({.kind = core::ScanKind::kOutside})
+                           .value();  // enumeration-based
   // Only the usual shutdown-window service FPs appear; the payload is
   // missing from the enumerated clean view too.
   for (const auto& f : outside.all_hidden()) {
@@ -204,7 +210,8 @@ TEST(IndexGhostTest, RemovalWorkflowRelinksAndDeletes) {
   core::ScanConfig o;
   o.resources = core::ResourceMask::kFiles;
   o.parallelism = 1;
-  const auto report = core::ScanEngine(m, o).inside_scan();
+  const auto report =
+      core::ScanEngine(m, o).run({.kind = core::ScanKind::kInside}).value();
   ASSERT_TRUE(report.infection_detected());
   const auto outcome = core::remove_ghostware(m, report, o);
   EXPECT_EQ(outcome.files_deleted, 1u);
@@ -222,7 +229,10 @@ TEST(IndexGhostTest, RestoreMakesFileVisibleAgain) {
   core::ScanConfig o;
   o.resources = core::ResourceMask::kFiles;
   o.parallelism = 1;
-  EXPECT_FALSE(core::ScanEngine(m, o).inside_scan().infection_detected());
+  core::ScanEngine engine(m, o);
+  EXPECT_FALSE(engine.run({.kind = core::ScanKind::kInside})
+                   .value()
+                   .infection_detected());
 }
 
 }  // namespace

@@ -27,7 +27,8 @@ ScanConfig serial_scan() {
 TEST(Report, AccessorsAndRendering) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::HackerDefender>(m);
-  const auto report = ScanEngine(m, serial_scan()).inside_scan();
+  const auto report =
+      ScanEngine(m, serial_scan()).run({.kind = ScanKind::kInside}).value();
 
   EXPECT_TRUE(report.infection_detected());
   EXPECT_EQ(report.diffs.size(), 4u);  // one per resource type
@@ -49,7 +50,8 @@ TEST(Report, AccessorsAndRendering) {
 
 TEST(Report, CleanRendering) {
   machine::Machine m(small_config());
-  const auto report = ScanEngine(m, serial_scan()).inside_scan();
+  const auto report =
+      ScanEngine(m, serial_scan()).run({.kind = ScanKind::kInside}).value();
   EXPECT_NE(report.to_string().find("machine appears clean"),
             std::string::npos);
   EXPECT_EQ(report.diff_for(ResourceType::kFile)->simulated_seconds > 0,
@@ -63,7 +65,8 @@ TEST(Report, JsonOutputIsWellFormedAndEscaped) {
   const std::string sneaky(std::string("Upd") + '\0' + "Svc");
   m.registry().set_value(registry::kRunKey,
                          hive::Value::string(sneaky, "C:\\evil.exe"));
-  const auto report = ScanEngine(m, serial_scan()).inside_scan();
+  const auto report =
+      ScanEngine(m, serial_scan()).run({.kind = ScanKind::kInside}).value();
   const auto json = report.to_json();
   EXPECT_NE(json.find("\"infected\":true"), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"file\""), std::string::npos);
@@ -81,7 +84,7 @@ TEST(EngineConfig, SelectiveScansProduceSelectiveDiffs) {
   machine::Machine m(small_config());
   ScanConfig o = serial_scan();
   o.resources = ResourceMask::kAseps | ResourceMask::kProcesses;
-  const auto report = ScanEngine(m, o).inside_scan();
+  const auto report = ScanEngine(m, o).run({.kind = ScanKind::kInside}).value();
   EXPECT_EQ(report.diffs.size(), 2u);
   EXPECT_EQ(report.diff_for(ResourceType::kFile), nullptr);
   EXPECT_NE(report.diff_for(ResourceType::kAsepHook), nullptr);
@@ -93,14 +96,15 @@ TEST(EngineConfig, ScannerImageSpawnsProcess) {
   ScanConfig o = serial_scan();
   o.scanner_image = "gbscan.exe";
   o.resources = ResourceMask::kFiles;
-  ScanEngine(m, o).inside_scan();
+  ASSERT_TRUE(ScanEngine(m, o).run({.kind = ScanKind::kInside}).ok());
   EXPECT_NE(m.find_pid("gbscan.exe"), 0u);
 }
 
 TEST(Timing, ClockAdvancesBySimulatedScanTime) {
   machine::Machine m(small_config());
   const auto t0 = m.clock().now();
-  const auto report = ScanEngine(m, serial_scan()).inside_scan();
+  const auto report =
+      ScanEngine(m, serial_scan()).run({.kind = ScanKind::kInside}).value();
   EXPECT_GT(report.total_simulated_seconds, 0.0);
   const double elapsed = VirtualClock::to_seconds(m.clock().now() - t0);
   EXPECT_NEAR(elapsed, report.total_simulated_seconds, 1e-6);
@@ -121,7 +125,8 @@ TEST(OutsideDiff, RequiresPoweredOffMachine) {
 TEST(Attribution, MapsFindingsToHookOwners) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::HackerDefender>(m);
-  const auto report = ScanEngine(m, serial_scan()).inside_scan();
+  const auto report =
+      ScanEngine(m, serial_scan()).run({.kind = ScanKind::kInside}).value();
   const auto attr = attribute_findings(m, report);
 
   ASSERT_FALSE(attr.findings.empty());
@@ -150,7 +155,7 @@ TEST(Attribution, DkomFindingHasNoSuspects) {
   ScanConfig o = serial_scan();
   o.resources = ResourceMask::kProcesses;
   o.processes.scheduler_view = true;
-  const auto report = ScanEngine(m, o).inside_scan();
+  const auto report = ScanEngine(m, o).run({.kind = ScanKind::kInside}).value();
   const auto attr = attribute_findings(m, report);
   ASSERT_EQ(attr.findings.size(), 1u);
   EXPECT_TRUE(attr.findings[0].suspected_owners.empty());
@@ -165,7 +170,8 @@ TEST(Attribution, AllowlistSuppressesBenignOwners) {
   benign.name = "av-onaccess";
   m.kernel().filter_chain().attach(std::move(benign));
 
-  const auto report = ScanEngine(m, serial_scan()).inside_scan();
+  const auto report =
+      ScanEngine(m, serial_scan()).run({.kind = ScanKind::kInside}).value();
   const auto attr = attribute_findings(m, report, {"av-onaccess"});
   for (const auto& h : attr.interceptions) {
     EXPECT_NE(h.info.owner, "av-onaccess");
@@ -184,10 +190,10 @@ TEST(InjectedScan, UnionsFindingsAcrossContexts) {
   ScanConfig o = serial_scan();
   o.resources = ResourceMask::kFiles;
   ScanEngine gb(m, o);
-  const auto plain = gb.inside_scan();
+  const auto plain = gb.run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(plain.infection_detected());
 
-  const auto injected = gb.injected_scan();
+  const auto injected = gb.run({.kind = ScanKind::kInjected}).value();
   const auto* diff = injected.diff_for(ResourceType::kFile);
   bool saw_aphex = false, saw_vanquish = false;
   for (const auto& f : diff->hidden) {
@@ -196,6 +202,59 @@ TEST(InjectedScan, UnionsFindingsAcrossContexts) {
   }
   EXPECT_TRUE(saw_aphex);
   EXPECT_TRUE(saw_vanquish);
+}
+
+/// A provider whose diff policy allowlists one key: every view is the
+/// wrapped default provider's, only diff() differs.
+class AllowlistingScanner : public ResourceScanner {
+ public:
+  AllowlistingScanner(std::unique_ptr<ResourceScanner> inner,
+                      std::string allowed)
+      : inner_(std::move(inner)), allowed_(std::move(allowed)) {}
+
+  ResourceType type() const override { return inner_->type(); }
+  support::StatusOr<ScanResult> high_scan(
+      const ScanTaskContext& t, const winapi::Ctx& ctx) const override {
+    return inner_->high_scan(t, ctx);
+  }
+  std::vector<ViewDef> trusted_views(ScanPhase phase,
+                                     const ScanConfig& cfg) const override {
+    return inner_->trusted_views(phase, cfg);
+  }
+  DiffReport diff(const ScanTaskContext& t,
+                  const std::vector<ViewInput>& views) const override {
+    DiffReport d = inner_->diff(t, views);
+    std::erase_if(d.hidden, [&](const Finding& f) {
+      return f.resource.key == allowed_;
+    });
+    return d;
+  }
+
+ private:
+  std::unique_ptr<ResourceScanner> inner_;
+  std::string allowed_;
+};
+
+TEST(InjectedScan, HonoursTheProviderDiffPolicy) {
+  machine::Machine m(small_config());
+  malware::install_ghostware<malware::HackerDefender>(m);
+  const std::string allowed = "c:\\hxdef100.ini";
+  auto hidden_keys = [&](ScanKind kind) {
+    ScanConfig o = serial_scan();
+    o.resources = ResourceMask::kNone;
+    ScanEngine gb(m, o);
+    gb.register_scanner(std::make_unique<AllowlistingScanner>(
+        std::move(default_scanners(ResourceMask::kFiles).front()), allowed));
+    std::vector<std::string> keys;
+    for (const auto& f : gb.run({.kind = kind}).value().all_hidden()) {
+      keys.push_back(f.resource.key);
+    }
+    return keys;
+  };
+  const auto inside = hidden_keys(ScanKind::kInside);
+  EXPECT_EQ(inside.size(), 3u);  // Hacker Defender's four files, less one
+  EXPECT_EQ(std::count(inside.begin(), inside.end(), allowed), 0);
+  EXPECT_EQ(hidden_keys(ScanKind::kInjected), inside);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@ namespace gb {
 namespace {
 
 using core::ScanEngine;
+using core::ScanKind;
 using core::ResourceType;
 
 machine::MachineConfig small_config() {
@@ -38,10 +39,10 @@ TEST(Targeting, UtilityOnlyHidingEvadesPlainScanButNotInjection) {
       malware::TargetPolicy::only({"taskmgr.exe", "tlist.exe"}));
 
   ScanEngine gb(m, files_only());
-  const auto plain = gb.inside_scan();
+  const auto plain = gb.run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(plain.infection_detected()) << plain.to_string();
 
-  const auto injected = gb.injected_scan();
+  const auto injected = gb.run({.kind = ScanKind::kInjected}).value();
   EXPECT_TRUE(injected.infection_detected()) << injected.to_string();
   const auto* diff = injected.diff_for(ResourceType::kFile);
   bool hxdef_found = false;
@@ -60,10 +61,10 @@ TEST(Targeting, GhostBusterExemptionEvadesPlainScanButNotInjection) {
       m, malware::TargetPolicy::everyone_except({"ghostbuster.exe"}));
 
   ScanEngine gb(m, files_only());
-  const auto plain = gb.inside_scan();
+  const auto plain = gb.run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(plain.infection_detected()) << plain.to_string();
 
-  const auto injected = gb.injected_scan();
+  const auto injected = gb.run({.kind = ScanKind::kInjected}).value();
   EXPECT_TRUE(injected.infection_detected());
 }
 
@@ -71,7 +72,8 @@ TEST(Targeting, InjectedScanStillCleanOnCleanMachine) {
   machine::Machine m(small_config());
   core::ScanConfig cfg;
   cfg.parallelism = 1;
-  const auto report = ScanEngine(m, cfg).injected_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInjected}).value();
   EXPECT_FALSE(report.infection_detected()) << report.to_string();
 }
 
@@ -98,7 +100,8 @@ TEST(ETrustDemo, SignatureScannerDilemma) {
   // Inject GhostBuster into the scanner process: scan from its context.
   auto cfg = files_only();
   cfg.scanner_image = "inocit.exe";
-  const auto report = ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(report.infection_detected());
   const auto* diff = report.diff_for(ResourceType::kFile);
   bool found = false;
@@ -120,7 +123,8 @@ TEST(Anomaly, MassHidingIsItselfAnAnomaly) {
   auto hider = std::make_shared<malware::Aphex>("doc");  // hide doc*
   hider->install(m);
 
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto assessment = core::assess_anomaly(report.diffs);
   EXPECT_GE(assessment.hidden_files, 80u);
   EXPECT_TRUE(assessment.mass_hiding);
@@ -130,7 +134,8 @@ TEST(Anomaly, MassHidingIsItselfAnAnomaly) {
 TEST(Anomaly, NormalInfectionBelowMassThreshold) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::HackerDefender>(m);
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto assessment = core::assess_anomaly(report.diffs);
   EXPECT_FALSE(assessment.mass_hiding);
   EXPECT_GT(assessment.hidden_files, 0u);
@@ -138,7 +143,8 @@ TEST(Anomaly, NormalInfectionBelowMassThreshold) {
 
 TEST(Anomaly, CleanMachineSummary) {
   machine::Machine m(small_config());
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   const auto assessment = core::assess_anomaly(report.diffs);
   EXPECT_EQ(assessment.summary, "no hiding detected");
 }
@@ -179,7 +185,8 @@ TEST(HookDetector, MissesDataOnlyHiding) {
   cfg.resources = core::ResourceMask::kProcesses;
   cfg.processes.scheduler_view = true;
   cfg.parallelism = 1;
-  const auto report = ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInside}).value();
   EXPECT_TRUE(report.infection_detected());
 }
 
@@ -200,7 +207,8 @@ TEST(HookDetector, LegitimateHooksAreFalsePositives) {
   }
   EXPECT_TRUE(flagged);  // mechanism detector: false positive
 
-  const auto report = ScanEngine(m, files_only()).inside_scan();
+  const auto report =
+      ScanEngine(m, files_only()).run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(report.infection_detected());  // cross-view diff: clean
 
   // Allowlisting fixes the mechanism detector's FP, at the cost of a

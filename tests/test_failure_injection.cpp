@@ -69,7 +69,8 @@ TEST(FailureInjection, DetectionUnaffectedByUnrelatedCorruption) {
   core::ScanConfig cfg;
   cfg.resources = core::ResourceMask::kFiles;
   cfg.parallelism = 1;
-  const auto report = core::ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      core::ScanEngine(m, cfg).run({.kind = core::ScanKind::kInside}).value();
   EXPECT_FALSE(report.degraded());
   EXPECT_GE(report.hidden_count(core::ResourceType::kFile), 4u);
 }
@@ -170,7 +171,8 @@ TEST(FailureInjection, TornHiveDegradesRegistryDiffOnly) {
     core::ScanConfig cfg;
     cfg.parallelism = p;
     cfg.registry.flush_hives_first = false;  // keep the corruption in place
-    const auto report = core::ScanEngine(m, cfg).inside_scan();
+    const auto report =
+        core::ScanEngine(m, cfg).run({.kind = core::ScanKind::kInside}).value();
 
     EXPECT_TRUE(report.degraded());
     const auto* aseps = report.diff_for(core::ResourceType::kAsepHook);
@@ -218,7 +220,8 @@ TEST(FailureInjection, ScrubbedDumpDegradesDumpBasedDiffsOnly) {
 
   core::ScanConfig cfg;
   cfg.parallelism = 1;
-  const auto report = core::ScanEngine(m, cfg).outside_scan();
+  const auto report =
+      core::ScanEngine(m, cfg).run({.kind = core::ScanKind::kOutside}).value();
 
   EXPECT_TRUE(report.degraded());
   const auto* procs = report.diff_for(core::ResourceType::kProcess);
@@ -256,7 +259,8 @@ TEST(FailureInjection, EngineSurvivesDeadScannerContext) {
   // engine cannot see... the simplest honest sabotage is killing the
   // process after the engine resolved its context once.
   (void)pid;
-  const auto report = engine.inside_scan();  // must not throw
+  const auto report =
+      engine.run({.kind = core::ScanKind::kInside}).value();  // must not throw
   EXPECT_FALSE(report.infection_detected());
 }
 

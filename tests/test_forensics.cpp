@@ -91,7 +91,8 @@ TEST(DeletedRecovery, MalwareRemovalLeavesAuditTrail) {
   malware::install_ghostware<malware::HackerDefender>(m);
   core::ScanConfig cfg;
   cfg.parallelism = 1;
-  const auto report = core::ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      core::ScanEngine(m, cfg).run({.kind = core::ScanKind::kInside}).value();
   core::remove_ghostware(m, report, cfg);
 
   ntfs::MftScanner scanner(m.disk());
@@ -144,7 +145,7 @@ TEST(HiveRi, RegistryScanHandlesHugeServicesKey) {
     cfg.resources = core::ResourceMask::kAseps;
     cfg.parallelism = 1;
     return cfg;
-  }()).inside_scan();
+  }()).run({.kind = core::ScanKind::kInside}).value();
   EXPECT_FALSE(report.infection_detected()) << report.to_string();
   const auto* diff = report.diff_for(core::ResourceType::kAsepHook);
   EXPECT_GT(diff->high_count, 600u);
@@ -165,7 +166,8 @@ TEST(Soak, RepeatedInfectScanRemoveCyclesStayConsistent) {
     malware::install_ghostware<malware::Vanquish>(m);
     m.run_for(VirtualClock::seconds(120));
 
-    const auto report = core::ScanEngine(m, o).inside_scan();
+    const auto report =
+        core::ScanEngine(m, o).run({.kind = core::ScanKind::kInside}).value();
     EXPECT_TRUE(report.infection_detected()) << "round " << round;
     EXPECT_GE(report.hidden_count(core::ResourceType::kFile), 8u);
 
@@ -174,7 +176,10 @@ TEST(Soak, RepeatedInfectScanRemoveCyclesStayConsistent) {
         << "round " << round << "\n"
         << outcome.verification.to_string();
     m.reboot();
-    EXPECT_FALSE(core::ScanEngine(m, o).inside_scan().infection_detected())
+    core::ScanEngine engine(m, o);
+    EXPECT_FALSE(engine.run({.kind = core::ScanKind::kInside})
+                     .value()
+                     .infection_detected())
         << "round " << round;
   }
 }

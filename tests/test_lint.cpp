@@ -54,8 +54,6 @@ constexpr Fixtures kFixtures[] = {
     {"raw-thread", "bad_raw_thread.cpp", "good_raw_thread.cpp"},
     {"raw-transport-io", "bad_raw_transport_io.cpp",
      "good_raw_transport_io.cpp"},
-    {"legacy-scan-entry", "bad_legacy_scan_entry.cpp",
-     "good_legacy_scan_entry.cpp"},
     {"metric-name-format", "bad_metric_name_format.cpp",
      "good_metric_name_format.cpp"},
     {"lock-order-cycle", "bad_lock_order_cycle.cpp",

@@ -247,7 +247,8 @@ TEST(EngineMetrics, ReportCarriesDeterministicTalliesAndMirrorsRegistry) {
   core::ScanConfig cfg;
   cfg.parallelism = 2;
   cfg.metrics = &reg;
-  const auto report = core::ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      core::ScanEngine(m, cfg).run({.kind = core::ScanKind::kInside}).value();
 
   ASSERT_TRUE(report.metrics.has_value());
   EXPECT_GT(report.metrics->provider_scans, 0u);
@@ -271,7 +272,8 @@ TEST(EngineMetrics, CollectMetricsOffYieldsNullBlock) {
   core::ScanConfig cfg;
   cfg.parallelism = 1;
   cfg.collect_metrics = false;
-  const auto report = core::ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      core::ScanEngine(m, cfg).run({.kind = core::ScanKind::kInside}).value();
   EXPECT_FALSE(report.metrics.has_value());
   EXPECT_NE(report.to_json().find("\"metrics\":null"), std::string::npos);
 }
@@ -292,7 +294,8 @@ TEST(EngineMetrics, CorruptHiveCountsDegradedDiff) {
   cfg.parallelism = 1;
   cfg.registry.flush_hives_first = false;
   cfg.metrics = &reg;
-  const auto report = core::ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      core::ScanEngine(m, cfg).run({.kind = core::ScanKind::kInside}).value();
 
   EXPECT_TRUE(report.degraded());
   ASSERT_TRUE(report.metrics.has_value());
@@ -347,7 +350,10 @@ TEST(Determinism, ReportBytesIdenticalAcrossWorkersAndTracing) {
     malware::install_ghostware<malware::HackerDefender>(m);
     core::ScanConfig cfg;
     cfg.parallelism = parallelism;
-    const auto json = normalize(core::ScanEngine(m, cfg).inside_scan().to_json());
+    const auto json = normalize(core::ScanEngine(m, cfg)
+                                    .run({.kind = core::ScanKind::kInside})
+                                    .value()
+                                    .to_json());
     obs::default_tracer().disable();
     obs::default_tracer().clear();
     return json;
@@ -672,7 +678,10 @@ TEST(Determinism, MetricsOffReportsMatchMetricsOnMinusTheBlock) {
     core::ScanConfig cfg;
     cfg.parallelism = 2;
     cfg.collect_metrics = collect;
-    return normalize(core::ScanEngine(m, cfg).inside_scan().to_json());
+    return normalize(core::ScanEngine(m, cfg)
+                         .run({.kind = core::ScanKind::kInside})
+                         .value()
+                         .to_json());
   };
   const std::regex block(R"(\"metrics\":(\{[^}]*\}|null))");
   EXPECT_EQ(std::regex_replace(run(true), block, "\"metrics\":X"),

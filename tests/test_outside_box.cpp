@@ -10,6 +10,7 @@ namespace gb {
 namespace {
 
 using core::ScanEngine;
+using core::ScanKind;
 using core::ResourceType;
 
 machine::MachineConfig small_config(bool ccm = false) {
@@ -38,7 +39,8 @@ std::size_t hidden_named(const core::DiffReport& d, std::string_view needle) {
 TEST(OutsideBox, HackerDefenderFilesAndHooksDetected) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::HackerDefender>(m);
-  const auto report = ScanEngine(m, files_and_registry()).outside_scan();
+  ScanEngine engine(m, files_and_registry());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   EXPECT_FALSE(m.running());
 
   const auto* files = report.diff_for(ResourceType::kFile);
@@ -55,7 +57,8 @@ TEST(OutsideBox, SsdtHookerCannotHideFromCleanBoot) {
   // is taken with the machine off.
   machine::Machine m(small_config());
   const auto probot = malware::install_ghostware<malware::ProBotSe>(m);
-  const auto report = ScanEngine(m, files_and_registry()).outside_scan();
+  ScanEngine engine(m, files_and_registry());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   const auto* files = report.diff_for(ResourceType::kFile);
   std::size_t found = 0;
   for (const auto& path : probot->manifest().hidden_files) {
@@ -72,7 +75,8 @@ TEST(OutsideBox, FalsePositivesComeFromServices) {
   // paper's "two or less".
   machine::Machine m(small_config(/*ccm=*/false));
   m.run_for(VirtualClock::seconds(120));
-  const auto report = ScanEngine(m, files_and_registry()).outside_scan();
+  ScanEngine engine(m, files_and_registry());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   const auto* files = report.diff_for(ResourceType::kFile);
   ASSERT_NE(files, nullptr);
   EXPECT_LE(files->hidden.size(), 2u) << report.to_string();
@@ -94,8 +98,8 @@ TEST(OutsideBox, CcmServiceRaisesFalsePositivesTo7) {
   // it to 2.
   machine::Machine with_ccm(small_config(/*ccm=*/true));
   with_ccm.run_for(VirtualClock::seconds(120));
-  const auto report =
-      ScanEngine(with_ccm, files_and_registry()).outside_scan();
+  ScanEngine engine(with_ccm, files_and_registry());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   const auto* files = report.diff_for(ResourceType::kFile);
   EXPECT_EQ(files->hidden.size(), 7u) << report.to_string();
 
@@ -103,8 +107,7 @@ TEST(OutsideBox, CcmServiceRaisesFalsePositivesTo7) {
   with_ccm.boot();
   with_ccm.services().set_enabled(machine::Services::kCcm, false);
   with_ccm.run_for(VirtualClock::seconds(60));
-  const auto rescan =
-      ScanEngine(with_ccm, files_and_registry()).outside_scan();
+  const auto rescan = engine.run({.kind = ScanKind::kOutside}).value();
   EXPECT_LE(rescan.diff_for(ResourceType::kFile)->hidden.size(), 2u);
 }
 
@@ -113,7 +116,8 @@ TEST(OutsideBox, InsideScanStaysFpFreeOnBusyMachine) {
   // (which only appends) cannot create presence diffs.
   machine::Machine m(small_config(true));
   m.run_for(VirtualClock::seconds(600));
-  const auto report = ScanEngine(m, files_and_registry()).inside_scan();
+  ScanEngine engine(m, files_and_registry());
+  const auto report = engine.run({.kind = ScanKind::kInside}).value();
   EXPECT_FALSE(report.infection_detected()) << report.to_string();
 }
 
@@ -129,7 +133,8 @@ TEST(OutsideBox, DumpBasedProcessScanFindsDkom) {
   core::ScanConfig cfg;
   cfg.resources = core::ResourceMask::kProcesses;
   cfg.parallelism = 1;
-  const auto report = ScanEngine(m, cfg).outside_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kOutside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   ASSERT_NE(procs, nullptr);
   EXPECT_EQ(hidden_named(*procs, "notepad.exe"), 1u) << report.to_string();
@@ -156,7 +161,8 @@ TEST(OutsideBox, DumpScrubberDefeatsDumpScan) {
   core::ScanConfig cfg;
   cfg.resources = core::ResourceMask::kProcesses;
   cfg.parallelism = 1;
-  const auto report = ScanEngine(m, cfg).outside_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kOutside}).value();
   // The scrubbed dump hides the rootkit even from the outside scan —
   // the motivation for DMA-based acquisition (Copilot / Backdoors).
   const auto* procs = report.diff_for(ResourceType::kProcess);

@@ -10,6 +10,7 @@ namespace gb {
 namespace {
 
 using core::ScanEngine;
+using core::ScanKind;
 using core::ResourceType;
 
 machine::MachineConfig small_config() {
@@ -30,7 +31,8 @@ core::ScanConfig proc_and_modules() {
 TEST(OutsideModules, VanquishBlankedPebFoundInDump) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::Vanquish>(m);
-  const auto report = ScanEngine(m, proc_and_modules()).outside_scan();
+  ScanEngine engine(m, proc_and_modules());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   const auto* mods = report.diff_for(ResourceType::kModule);
   ASSERT_NE(mods, nullptr);
   std::size_t vanquish_hits = 0;
@@ -42,14 +44,16 @@ TEST(OutsideModules, VanquishBlankedPebFoundInDump) {
 
 TEST(OutsideModules, CleanMachineDumpDiffIsQuiet) {
   machine::Machine m(small_config());
-  const auto report = ScanEngine(m, proc_and_modules()).outside_scan();
+  ScanEngine engine(m, proc_and_modules());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   EXPECT_FALSE(report.infection_detected()) << report.to_string();
 }
 
 TEST(OutsideModules, HiddenProcessModulesInDumpDiff) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::Berbew>(m);
-  const auto report = ScanEngine(m, proc_and_modules()).outside_scan();
+  ScanEngine engine(m, proc_and_modules());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
   const auto* procs = report.diff_for(ResourceType::kProcess);
   const auto* mods = report.diff_for(ResourceType::kModule);
   ASSERT_NE(procs, nullptr);

@@ -4,8 +4,12 @@
 // face adversarial inputs by design.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hive/hive.h"
+#include "kernel/carve.h"
 #include "kernel/dump.h"
+#include "kernel/dump_format.h"
 #include "ntfs/mft_record.h"
 #include "ntfs/runlist.h"
 #include "support/rng.h"
@@ -131,6 +135,42 @@ TEST_P(ParserFuzz, TruncatedRunListsNeverCrash) {
     (void)decoded;
   } catch (const ParseError&) {
   }
+}
+
+// A hostile directory count must fail the structured parse cleanly,
+// never size an allocation from it, and cost the carve nothing: the
+// directory only labels records, so the sweep still recovers every one,
+// now as orphaned slack.
+TEST(DumpCountBounds, SmashedDirectoryCountIsCorruptButStillCarves) {
+  kernel::Kernel k;
+  k.create_process("C:\\a.exe", 4, 2);
+  k.create_process("C:\\b.exe", 4, 1);
+  auto bytes = kernel::write_dump(k);
+  const std::size_t n_records = kernel::parse_dump(bytes).processes.size();
+  ASSERT_GT(n_records, 0u);
+
+  // The directory (u32 count, then one u64 offset per record) ends where
+  // the record heap begins.
+  const auto heap =
+      std::search(bytes.begin(), bytes.end(),
+                  kernel::internal::kRecordTag.begin(),
+                  kernel::internal::kRecordTag.end());
+  ASSERT_NE(heap, bytes.end());
+  const std::size_t count_at =
+      static_cast<std::size_t>(heap - bytes.begin()) - 8 * n_records - 4;
+  ByteReader before(std::span<const std::byte>(bytes).subspan(count_at, 4));
+  ASSERT_EQ(before.u32(), n_records);
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(count_at), 4,
+              std::byte{0xFF});
+
+  const auto parsed = kernel::parse_dump_or(bytes);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), support::StatusCode::kCorrupt);
+
+  const auto carved = kernel::carve_dump(bytes);
+  ASSERT_TRUE(carved.ok()) << carved.status().to_string();
+  EXPECT_EQ(carved->processes.size(), n_records);
+  EXPECT_EQ(carved->orphan_count(), n_records);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,

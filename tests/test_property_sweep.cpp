@@ -11,6 +11,7 @@ namespace gb {
 namespace {
 
 using core::ScanEngine;
+using core::ScanKind;
 using core::ResourceType;
 
 machine::MachineConfig small_config(std::uint64_t seed = 1) {
@@ -39,7 +40,7 @@ TEST_P(FileHiderSweep, InvariantsHoldForEveryProgramAndSeed) {
   core::ScanConfig o;
   o.processes.scheduler_view = true;
   o.parallelism = 1;
-  const auto report = ScanEngine(m, o).inside_scan();
+  const auto report = ScanEngine(m, o).run({.kind = ScanKind::kInside}).value();
 
   // Invariant 1: every manifest-hidden file is found.
   const auto* files = report.diff_for(ResourceType::kFile);
@@ -131,8 +132,11 @@ TEST_P(TargetingSweep, UtilityTargetedHidingBeatenByInjection) {
   cfg.resources = core::ResourceMask::kFiles | core::ResourceMask::kAseps;
   cfg.parallelism = 1;
   ScanEngine gb(m, cfg);
-  EXPECT_FALSE(gb.inside_scan().infection_detected()) << maker.label;
-  EXPECT_TRUE(gb.injected_scan().infection_detected()) << maker.label;
+  EXPECT_FALSE(gb.run({.kind = ScanKind::kInside}).value().infection_detected())
+      << maker.label;
+  EXPECT_TRUE(
+      gb.run({.kind = ScanKind::kInjected}).value().infection_detected())
+      << maker.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(SixTechniques, TargetingSweep,
@@ -147,7 +151,8 @@ TEST(CleanSweep, ManySeedsNeverFalsePositive) {
     core::ScanConfig o;
     o.processes.scheduler_view = true;
     o.parallelism = 1;
-    const auto report = ScanEngine(m, o).inside_scan();
+    const auto report =
+        ScanEngine(m, o).run({.kind = ScanKind::kInside}).value();
     EXPECT_FALSE(report.infection_detected())
         << "seed " << seed << "\n"
         << report.to_string();

@@ -43,7 +43,7 @@ TEST(ScanEngineDeterminism, InsideScanIdenticalAt1_2_8Threads) {
     machine::Machine m(small_config());
     malware::install_ghostware<malware::HackerDefender>(m);
     ScanEngine engine(m, parallel_config(p));
-    const auto report = engine.inside_scan();
+    const auto report = engine.run({.kind = ScanKind::kInside}).value();
     EXPECT_EQ(report.hidden_count(ResourceType::kFile), 4u);
     EXPECT_EQ(report.hidden_count(ResourceType::kAsepHook), 2u);
     EXPECT_EQ(report.hidden_count(ResourceType::kProcess), 1u);
@@ -67,7 +67,7 @@ TEST(ScanEngineDeterminism, InjectedScanIdenticalAt1_2_8Threads) {
     ScanConfig cfg = parallel_config(p);
     cfg.resources = ResourceMask::kFiles;
     ScanEngine engine(m, cfg);
-    const auto report = engine.injected_scan();
+    const auto report = engine.run({.kind = ScanKind::kInjected}).value();
     EXPECT_TRUE(report.infection_detected()) << "parallelism=" << p;
     const auto j = normalized(report);
     if (baseline.empty()) {
@@ -90,7 +90,7 @@ TEST(ScanEngineDeterminism, FuAdvancedModeIdenticalAt1_2_8Threads) {
     cfg.resources = ResourceMask::kProcesses;
     cfg.processes.scheduler_view = true;
     ScanEngine engine(m, cfg);
-    const auto report = engine.inside_scan();
+    const auto report = engine.run({.kind = ScanKind::kInside}).value();
     EXPECT_EQ(report.hidden_count(ResourceType::kProcess), 1u);
     const auto j = normalized(report);
     if (baseline.empty()) {
@@ -107,7 +107,7 @@ TEST(ScanEngineDeterminism, OutsideScanIdenticalAcrossWorkerCounts) {
     machine::Machine m(small_config());
     malware::install_ghostware<malware::HackerDefender>(m);
     ScanEngine engine(m, parallel_config(p));
-    const auto report = engine.outside_scan();
+    const auto report = engine.run({.kind = ScanKind::kOutside}).value();
     EXPECT_TRUE(report.infection_detected());
     const auto j = normalized(report);
     if (baseline.empty()) {
@@ -154,7 +154,7 @@ TEST(ReportJson, SchemaV25CarriesTimingWorkerAndStatusFields) {
   machine::Machine m(small_config());
   malware::install_ghostware<malware::HackerDefender>(m);
   ScanEngine engine(m, parallel_config(2));
-  const auto report = engine.inside_scan();
+  const auto report = engine.run({.kind = ScanKind::kInside}).value();
   const auto json = report.to_json();
   EXPECT_NE(json.find("\"schema_version\":\"2.5\""), std::string::npos);
   // A direct engine run has no fleet provenance: scheduler is null.
@@ -200,7 +200,8 @@ TEST(ScanEngineConfig, SelectiveMaskProducesSelectiveDiffs) {
   ScanConfig cfg;
   cfg.parallelism = 2;
   cfg.resources = ResourceMask::kAseps | ResourceMask::kProcesses;
-  const auto report = ScanEngine(m, cfg).inside_scan();
+  const auto report =
+      ScanEngine(m, cfg).run({.kind = ScanKind::kInside}).value();
   EXPECT_EQ(report.diffs.size(), 2u);
   EXPECT_EQ(report.diff_for(ResourceType::kFile), nullptr);
   EXPECT_NE(report.diff_for(ResourceType::kAsepHook), nullptr);

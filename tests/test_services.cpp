@@ -89,11 +89,15 @@ TEST(Services, RisNetworkBootIsFasterThanCd) {
   ris.outside_boot = core::OutsideBoot::kRisNetworkBoot;
 
   const auto t_cd0 = cd_machine.clock().now();
-  core::ScanEngine(cd_machine, cd).outside_scan();
+  ASSERT_TRUE(core::ScanEngine(cd_machine, cd)
+                  .run({.kind = core::ScanKind::kOutside})
+                  .ok());
   const auto cd_elapsed = cd_machine.clock().now() - t_cd0;
 
   const auto t_ris0 = ris_machine.clock().now();
-  core::ScanEngine(ris_machine, ris).outside_scan();
+  ASSERT_TRUE(core::ScanEngine(ris_machine, ris)
+                  .run({.kind = core::ScanKind::kOutside})
+                  .ok());
   const auto ris_elapsed = ris_machine.clock().now() - t_ris0;
 
   EXPECT_LT(ris_elapsed, cd_elapsed);

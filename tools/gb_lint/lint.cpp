@@ -57,11 +57,6 @@ constexpr RuleInfo kRules[] = {
      "no send_bytes/recv_bytes member calls outside the transport/wire "
      "layer: every daemon byte crosses the CRC-framed wire protocol "
      "(daemon::Framer), never the raw stream"},
-    {"legacy-scan-entry",
-     "no new library callers of the deprecated named scan entry points "
-     "(inside_scan/injected_scan/outside_scan/capture_inside_high/"
-     "outside_diff): go through ScanEngine::run(JobSpec), or "
-     "open_session()/rescan() for repeat scans"},
     {"metric-name-format",
      "literal metric names must be gb_<subsystem>_<name> (lowercase "
      "underscore segments) and literal span names <subsystem>.<verb>: "
@@ -622,38 +617,6 @@ struct Linter {
     }
   }
 
-  void rule_legacy_scan_entry() {
-    if (!enabled("legacy-scan-entry")) return;
-    const std::string base = std::filesystem::path(path).filename().string();
-    // scan_engine.* declares the deprecated wrappers (and calls the
-    // same-named ResourceScanner provider hooks); the ban is on callers.
-    if (base.rfind("scan_engine", 0) == 0) return;
-    for (std::size_t li = 0; li < view.code.size(); ++li) {
-      const std::string& line = view.code[li];
-      for (std::string_view name :
-           {"inside_scan", "injected_scan", "outside_scan",
-            "capture_inside_high", "outside_diff"}) {
-        for (std::size_t pos : find_word(line, name)) {
-          // Only member-call syntax counts: a declaration or a
-          // same-named free function is not a legacy entry-point call.
-          if (pos == 0 || (line[pos - 1] != '.' &&
-                           !preceded_by(line, pos, "->"))) {
-            continue;
-          }
-          const std::size_t next = skip_spaces(line, pos + name.size());
-          if (next >= line.size() || line[next] != '(') continue;
-          std::string msg = "'";
-          msg += name;
-          msg +=
-              "' is a deprecated named scan entry point; use "
-              "ScanEngine::run(JobSpec) — or open_session()/"
-              "rescan() when the scan repeats";
-          report("legacy-scan-entry", li, msg);
-        }
-      }
-    }
-  }
-
   void rule_metric_name_format() {
     if (!enabled("metric-name-format")) return;
     // The contract is on LITERAL names only: a name built at runtime
@@ -802,7 +765,6 @@ struct Linter {
     rule_mutex_name();
     rule_naked_new();
     rule_raw_thread();
-    rule_legacy_scan_entry();
     rule_raw_transport_io();
     rule_metric_name_format();
   }
