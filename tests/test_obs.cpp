@@ -20,6 +20,8 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/bytes.h"
+#include "support/checksum.h"
 #include "support/thread_pool.h"
 
 namespace gb {
@@ -556,6 +558,123 @@ TEST(EventLog, ReadFileRejectsBadHeaderAndMissingFile) {
   }
   EXPECT_FALSE(obs::EventLog::read_file(path).ok());
   EXPECT_FALSE(obs::EventLog::read_file(path + ".missing").ok());
+  std::filesystem::remove(path);
+}
+
+// tests/golden/event_log_v1.events holds one record of each event type,
+// written by EventLog::append. ts_us comes from the steady clock, so the
+// golden is pinned per record rather than per file: re-appending a
+// decoded event and stamping the ts_us it was read with must reproduce
+// that record's bytes.
+
+std::string golden_events() {
+  return std::string(GB_GOLDEN_DIR) + "/event_log_v1.events";
+}
+
+std::vector<std::byte> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> chars((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  const auto* first = reinterpret_cast<const std::byte*>(chars.data());
+  return std::vector<std::byte>(first, first + chars.size());
+}
+
+/// The file's frames (len | crc32 | payload), in order, header excluded.
+std::vector<std::vector<std::byte>> frames_of(
+    const std::vector<std::byte>& file) {
+  std::vector<std::vector<std::byte>> frames;
+  std::size_t at = 8;  // "GBEL" magic + format version
+  while (at + 8 <= file.size()) {
+    ByteReader r(std::span<const std::byte>(file).subspan(at, 4));
+    const std::size_t end = at + 8 + r.u32();
+    frames.emplace_back(file.begin() + static_cast<std::ptrdiff_t>(at),
+                        file.begin() + static_cast<std::ptrdiff_t>(end));
+    at = end;
+  }
+  return frames;
+}
+
+struct GoldenEvent {
+  obs::EventType type;
+  std::uint64_t job_id;
+  const char* detail;
+};
+
+constexpr GoldenEvent kGoldenEvents[] = {
+    {obs::EventType::kSubmit, 1, "BOX-0 tenant=corp"},
+    {obs::EventType::kStart, 1, ""},
+    {obs::EventType::kComplete, 1, "ok"},
+    {obs::EventType::kCancel, 2, "cancelled via daemon"},
+    {obs::EventType::kRejected, 0, "tenant lab over quota"},
+    {obs::EventType::kDegraded, 1, "files: CORRUPT: torn hive"},
+    {obs::EventType::kJournalTruncated, 0, "4 bytes"},
+    {obs::EventType::kRequeued, 3, "BOX-2"},
+    {obs::EventType::kKill, 0, "simulated SIGKILL"},
+    {obs::EventType::kDrain, 0, "graceful shutdown"},
+};
+
+void expect_golden_events(const std::vector<obs::LogEvent>& events) {
+  ASSERT_EQ(events.size(), std::size(kGoldenEvents));
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i);
+    EXPECT_EQ(events[i].type, kGoldenEvents[i].type) << i;
+    EXPECT_EQ(events[i].job_id, kGoldenEvents[i].job_id) << i;
+    EXPECT_EQ(events[i].detail, kGoldenEvents[i].detail) << i;
+  }
+}
+
+TEST(EventLogGolden, OpeningTheGoldenGivesOneEventOfEachType) {
+  const auto events = obs::EventLog::read_file(golden_events());
+  ASSERT_TRUE(events.ok()) << events.status().to_string();
+  expect_golden_events(*events);
+
+  // attach() replays the same trail. It repairs a file in place, so it
+  // opens a copy: the golden stays as committed.
+  const std::string path = temp_event_path("gb_test_obs_golden_copy.events");
+  std::filesystem::copy_file(golden_events(), path);
+  {
+    obs::EventLog log;
+    ASSERT_TRUE(log.attach(path).ok());
+    EXPECT_EQ(log.appended(), std::size(kGoldenEvents));
+    expect_golden_events(log.recent());
+  }
+  EXPECT_EQ(file_bytes(path), file_bytes(golden_events()));
+  std::filesystem::remove(path);
+}
+
+TEST(EventLogGolden, ReencodingEachEventReproducesItsRecordBytes) {
+  const std::vector<std::byte> golden = file_bytes(golden_events());
+  const auto golden_frames = frames_of(golden);
+  const auto events = obs::EventLog::read_file(golden_events());
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(golden_frames.size(), events->size());
+
+  const std::string path = temp_event_path("gb_test_obs_golden_redo.events");
+  {
+    obs::EventLog log;
+    ASSERT_TRUE(log.attach(path).ok());
+    for (const obs::LogEvent& e : *events) {
+      log.append(e.type, e.job_id, e.detail);
+    }
+  }
+  const std::vector<std::byte> fresh = file_bytes(path);
+  ASSERT_GE(fresh.size(), 8u);
+  EXPECT_TRUE(std::equal(fresh.begin(), fresh.begin() + 8, golden.begin()));
+  auto frames = frames_of(fresh);
+  ASSERT_EQ(frames.size(), golden_frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    // Stamp the decoded ts_us at its payload offset (after seq u64, type
+    // u8 and job id u64), then re-seal the frame's CRC over the payload.
+    std::vector<std::byte>& frame = frames[i];
+    ASSERT_GE(frame.size(), 8u + 25u);
+    ByteWriter ts;
+    ts.u64((*events)[i].ts_us);
+    std::copy(ts.view().begin(), ts.view().end(), frame.begin() + 8 + 17);
+    ByteWriter crc;
+    crc.u32(support::crc32(std::span<const std::byte>(frame).subspan(8)));
+    std::copy(crc.view().begin(), crc.view().end(), frame.begin() + 4);
+    EXPECT_EQ(frame, golden_frames[i]) << "record " << i;
+  }
   std::filesystem::remove(path);
 }
 
