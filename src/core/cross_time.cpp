@@ -6,27 +6,17 @@
 #include "hive/hive.h"
 #include "ntfs/mft_scanner.h"
 #include "registry/aseps.h"
+#include "support/checksum.h"
 #include "support/strings.h"
 
 namespace gb::core {
 
 namespace {
 
-/// FNV-1a over bytes — a stand-in for Tripwire's cryptographic digests
-/// (collision resistance is irrelevant to the noise comparison).
-std::uint64_t fnv1a(std::span<const std::byte> data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::byte b : data) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 void hash_registry_tree(const hive::Key& key, const std::string& prefix,
                         std::map<std::string, std::uint64_t>& out) {
   for (const auto& v : key.values) {
-    out[fold_case(prefix + "|" + v.name)] = fnv1a(v.data);
+    out[fold_case(prefix + "|" + v.name)] = support::fnv1a(v.data);
   }
   for (const auto& sub : key.subkeys) {
     hash_registry_tree(sub, prefix + "\\" + sub.name, out);
@@ -47,7 +37,7 @@ Checkpoint take_checkpoint(machine::Machine& m) {
     e.size = f.size;
     e.is_directory = f.is_directory;
     if (!f.is_directory) {
-      e.content_hash = fnv1a(scanner.read_file_data(f.record));
+      e.content_hash = support::fnv1a(scanner.read_file_data(f.record));
     }
     cp.files[fold_case("C:\\" + f.path)] = e;
   }

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "obs/trace.h"
+#include "support/checksum.h"
 
 namespace gb::core {
 
@@ -30,17 +31,6 @@ ViewSummary summarize_view(const ViewInput& v) {
                    : v.status;
   }
   return s;
-}
-
-/// FNV-1a: stable across runs and platforms, unlike std::hash — the
-/// shard assignment is part of the deterministic contract.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 /// One completed view's contribution to a merge: its short id plus the
@@ -219,7 +209,7 @@ DiffReport cross_view_matrix_diff(ResourceType type,
   }
   for (std::size_t v = 0; v < mv.size(); ++v) {
     for (const Resource* r : mv[v].entries) {
-      shard_views[fnv1a(r->key) % want][v].entries.push_back(r);
+      shard_views[support::fnv1a(r->key) % want][v].entries.push_back(r);
     }
   }
 

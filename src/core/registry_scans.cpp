@@ -7,6 +7,7 @@
 #include "ntfs/mft_scanner.h"
 #include "obs/trace.h"
 #include "registry/aseps.h"
+#include "support/checksum.h"
 #include "support/strings.h"
 
 namespace gb::core {
@@ -137,15 +138,6 @@ support::StatusOr<registry::ConfigurationManager> load_offline_registry(
   return offline;
 }
 
-std::uint64_t fnv1a(std::span<const std::byte> data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 /// load_offline_registry with a content-addressed parse cache: every
 /// mount's payload bytes are still read through the device (the work
 /// accounting must match the cold scan), but an unchanged payload's
@@ -188,7 +180,7 @@ load_offline_registry_cached(disk::SectorDevice& base,
     try {
       const auto bytes = scanner->read_file_data(*r.record);
       r.payload_bytes = bytes.size();
-      r.digest = fnv1a(bytes);
+      r.digest = support::fnv1a(bytes);
       if (auto it = cache.find(r.digest); it != cache.end()) {
         span.arg("cached", "1");
         r.tree = it->second.tree;

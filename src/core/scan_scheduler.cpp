@@ -88,6 +88,13 @@ struct SchedulerCore {
   /// cancelled, or shutdown).
   std::set<ScanSession*> sessions_inflight GB_GUARDED_BY(mu);
 
+  /// Machines a dispatched job holds. A Machine is not internally
+  /// synchronized (a scan grows its process table and flushes hives into
+  /// its volume), so a dispatcher whose job's machine is here waits on
+  /// machine_cv until the holder's run finishes.
+  std::set<const machine::Machine*> machines_busy GB_GUARDED_BY(mu);
+  std::condition_variable machine_cv;  // waits on mu
+
   /// Telemetry sink (see ScanScheduler::Options::metrics). `owned` is
   /// set when the options left metrics null; `metrics` always points at
   /// the registry in use. Handles below are created once at
@@ -114,6 +121,8 @@ struct JobState {
   std::string tenant;
   int priority = 0;
   JobSpec spec;
+  /// The machine the job scans: spec.machine, or its session's machine.
+  const machine::Machine* machine = nullptr;
   support::CancelToken token;
   support::TaskCounter counter;
   SteadyClock::time_point submit_time{};
@@ -183,8 +192,8 @@ void complete_cancelled_locked(SchedulerCore& core, JobState& st,
 
 /// Deficit-round-robin pop: serves the tenant under the cursor while it
 /// has credit and work, then moves on. One call pops one job (already
-/// transitioned to kRunning, with queue latency stamped) or returns
-/// nullptr when nothing is dispatchable. Requires core.mu held.
+/// transitioned to kRunning) or returns nullptr when nothing is
+/// dispatchable. Requires core.mu held.
 std::shared_ptr<JobState> pop_locked(SchedulerCore& core)
     GB_REQUIRES(core.mu) {
   while (!core.ring.empty()) {
@@ -232,11 +241,6 @@ std::shared_ptr<JobState> pop_locked(SchedulerCore& core)
       ++core.cursor;
     }
     job->phase.store(JobPhase::kRunning, std::memory_order_release);
-    // Steady clock is monotonic so the wait can't be negative; clamp
-    // anyway so a queue_seconds consumer never sees -0.0 from rounding.
-    job->queue_seconds =
-        std::max(0.0, seconds_since(job->submit_time));
-    core.queue_wait->observe(job->queue_seconds);
     core.dispatched->inc();
     ++core.running;
     core.queue_depth->set(static_cast<double>(core.queued_total));
@@ -323,6 +327,8 @@ void run_job(SchedulerCore& core, JobState& st) {
   if (st.spec.session != nullptr) {
     core.sessions_inflight.erase(st.spec.session);
   }
+  core.machines_busy.erase(st.machine);
+  core.machine_cv.notify_all();
   core.live.erase(st.id);
   --core.running;
   core.running_gauge->set(static_cast<double>(core.running));
@@ -332,18 +338,28 @@ void run_job(SchedulerCore& core, JobState& st) {
 
 /// Dispatcher loop, run as a pool task: pop-and-run until the queue is
 /// empty (or dispatch pauses / shuts down), then retire. submit() and
-/// resume() spawn replacements as work and capacity allow.
+/// resume() spawn replacements as work and capacity allow. A popped job
+/// whose machine another job holds waits for it here, so the wait counts
+/// as queue time.
 void drain(const std::shared_ptr<SchedulerCore>& core) {
   for (;;) {
     std::shared_ptr<JobState> job;
     {
-      support::MutexLock lk(core->mu);
+      support::CondLock lk(core->mu);
       if (!core->paused && !core->shutdown) job = pop_locked(*core);
       if (!job) {
         --core->dispatchers;
         core->idle_cv.notify_all();
         return;
       }
+      core->machine_cv.wait(lk.native(), [&] {
+        return !core->machines_busy.contains(job->machine);
+      });
+      core->machines_busy.insert(job->machine);
+      // Steady clock is monotonic so the wait can't be negative; clamp
+      // anyway so a queue_seconds consumer never sees -0.0 from rounding.
+      job->queue_seconds = std::max(0.0, seconds_since(job->submit_time));
+      core->queue_wait->observe(job->queue_seconds);
     }
     run_job(*core, *job);
   }
@@ -571,6 +587,8 @@ support::StatusOr<ScanJob> ScanScheduler::submit(JobSpec spec) {
   auto st = std::make_shared<internal::JobState>();
   st->tenant = spec.tenant;
   st->priority = spec.priority;
+  st->machine =
+      spec.session != nullptr ? &spec.session->machine() : spec.machine;
   st->spec = std::move(spec);
   st->core = core_;
   st->submit_time = SteadyClock::now();

@@ -26,12 +26,12 @@
 //     forced to 1: the fleet fan-out is the parallelism. Per-job reports
 //     are therefore byte-identical (timing fields aside) no matter how
 //     many scheduler workers serve the fleet.
-//
-// The scheduler assumes at most one in-flight job per Machine at a time
-// touches that machine concurrently with nothing else — Machines are not
-// internally synchronized. Submitting several jobs for the same machine
-// is fine (they serialize through the queue only under workers=1); with
-// more workers, callers should submit one job per machine per wave.
+//   * Machines are not internally synchronized, so at most one job runs
+//     per Machine at a time: a dispatched job whose machine (for a
+//     session job, its session's machine) another job holds waits on
+//     its worker until that run finishes, and the wait counts as queue
+//     time. Jobs for distinct machines run in parallel; a caller that
+//     keeps one job per machine in flight never waits.
 #pragma once
 
 #include <cstdint>

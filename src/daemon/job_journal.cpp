@@ -1,6 +1,5 @@
 #include "daemon/job_journal.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "support/bytes.h"
@@ -8,12 +7,10 @@
 namespace gb::daemon {
 namespace {
 
-constexpr char kMagic[4] = {'G', 'B', 'J', 'L'};
-constexpr std::uint32_t kFormatVersion = 2;  // v2: JobRequest carries trace ids
-constexpr std::size_t kHeaderBytes = 8;
-// Backstop against a torn length field decoding as a huge allocation.
-// Reports are a few hundred KB; nothing legitimate approaches this.
-constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
+// Version 2: JobRequest carries trace ids. The record cap is a backstop
+// against a torn length field decoding as a huge allocation: reports
+// are a few hundred KB, and nothing legitimate approaches 64 MiB.
+constexpr support::RecordFormat kFormat{"journal", "GBJL", 2, 64u << 20};
 
 struct ParseState {
   std::map<std::uint64_t, JournalReplay::PendingJob> pending;
@@ -66,12 +63,10 @@ support::Status apply_record(std::span<const std::byte> payload,
                                         std::to_string(id));
       }
       try {
-        const std::uint8_t code = r.u8();
-        std::string message = r.str(r.u32());
+        support::Status status = get_status(r);
         std::string report_json = r.str(r.u32());
         st.replay.completed[id] = JournalReplay::CompletedJob{
-            id, std::move(st.pending[id].request),
-            status_from_wire(code, std::move(message)),
+            id, std::move(st.pending[id].request), std::move(status),
             std::move(report_json)};
       } catch (const ParseError& e) {
         return support::Status::corrupt(std::string("journal complete: ") +
@@ -99,120 +94,19 @@ support::Status apply_record(std::span<const std::byte> payload,
 }  // namespace
 
 support::StatusOr<JobJournal> JobJournal::open(const std::string& path) {
-  std::vector<std::byte> data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      in.seekg(0, std::ios::end);
-      const std::streamoff size = in.tellg();
-      in.seekg(0, std::ios::beg);
-      data.resize(static_cast<std::size_t>(size));
-      if (size > 0) {
-        in.read(reinterpret_cast<char*>(data.data()), size);
-        if (!in) {
-          return support::Status::unavailable("journal: read failed: " + path);
-        }
-      }
-    }
-  }
-
-  JobJournal journal;
-  journal.path_ = path;
-
-  bool fresh = data.size() < kHeaderBytes;
-  if (fresh) {
-    // Empty, absent, or torn mid-header-write: start over. Losing a
-    // torn header loses nothing — no record can precede it.
-    journal.replay_.truncated_bytes = data.size();
-  } else {
-    ByteReader header(std::span<const std::byte>(data).subspan(0, 4));
-    if (header.str(4) != std::string_view(kMagic, 4)) {
-      return support::Status::corrupt("journal: bad magic: " + path);
-    }
-    ByteReader ver(std::span<const std::byte>(data).subspan(4, 4));
-    if (const std::uint32_t v = ver.u32(); v != kFormatVersion) {
-      return support::Status::corrupt("journal: unsupported version " +
-                                      std::to_string(v));
-    }
-  }
-
-  // Walk the record stream. The first frame that cannot be proven whole
-  // (short header, length past EOF or past the cap, CRC mismatch) marks
-  // the torn tail; everything from there on is discarded.
-  std::size_t good_end = kHeaderBytes;
   ParseState st;
-  if (!fresh) {
-    std::size_t pos = kHeaderBytes;
-    while (pos < data.size()) {
-      if (data.size() - pos < 8) break;
-      ByteReader frame(std::span<const std::byte>(data).subspan(pos, 8));
-      const std::uint32_t len = frame.u32();
-      const std::uint32_t crc = frame.u32();
-      if (len > kMaxRecordBytes || len > data.size() - pos - 8) break;
-      const std::span<const std::byte> payload =
-          std::span<const std::byte>(data).subspan(pos + 8, len);
-      if (crc32(payload) != crc) break;
-      if (support::Status s = apply_record(payload, st); !s.ok()) return s;
-      st.replay.records += 1;
-      pos += 8 + len;
-      good_end = pos;
-    }
-    st.replay.truncated_bytes = data.size() - good_end;
-  }
-
-  journal.replay_.records = st.replay.records;
-  journal.replay_.truncated_bytes += st.replay.truncated_bytes;
-  journal.replay_.next_job_id = st.replay.next_job_id;
-  journal.replay_.completed = std::move(st.replay.completed);
+  auto file = support::RecordFile::open(
+      path, kFormat, [&st](std::span<const std::byte> payload) {
+        return apply_record(payload, st);
+      });
+  if (!file.ok()) return file.status();
+  JournalReplay replay = std::move(st.replay);
+  replay.records = file->replay().records;
+  replay.truncated_bytes = file->replay().truncated_bytes;
   for (auto& [id, job] : st.pending) {
-    journal.replay_.pending.push_back(std::move(job));  // id order
+    replay.pending.push_back(std::move(job));  // id order
   }
-
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (fresh) {
-    std::ofstream create(path, std::ios::binary | std::ios::trunc);
-    ByteWriter w;
-    w.str(std::string_view(kMagic, 4));
-    w.u32(kFormatVersion);
-    create.write(reinterpret_cast<const char*>(w.buffer().data()),
-                 static_cast<std::streamsize>(w.size()));
-    create.flush();
-    if (!create) {
-      return support::Status::unavailable("journal: cannot create " + path);
-    }
-  } else if (good_end < data.size()) {
-    fs::resize_file(path, good_end, ec);
-    if (ec) {
-      return support::Status::unavailable("journal: cannot truncate tail: " +
-                                          ec.message());
-    }
-  }
-
-  journal.out_.open(path, std::ios::binary | std::ios::app);
-  if (!journal.out_) {
-    return support::Status::unavailable("journal: cannot open for append: " +
-                                        path);
-  }
-  return journal;
-}
-
-support::Status JobJournal::append_record(std::span<const std::byte> payload) {
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(crc32(payload));
-  frame.bytes(payload);
-  out_.write(reinterpret_cast<const char*>(frame.buffer().data()),
-             static_cast<std::streamsize>(frame.size()));
-  // Flushing under the daemon's lock is the durability contract: the
-  // journal record must hit the stream before the state change it
-  // describes becomes observable to any other thread.
-  // gb-lint: allow(blocking-under-lock)
-  out_.flush();
-  if (!out_) {
-    return support::Status::unavailable("journal: append failed: " + path_);
-  }
-  return support::Status();
+  return JobJournal(std::move(file).value(), std::move(replay));
 }
 
 support::Status JobJournal::append_submit(std::uint64_t id,
@@ -221,7 +115,7 @@ support::Status JobJournal::append_submit(std::uint64_t id,
   w.u8(static_cast<std::uint8_t>(JournalRecordType::kSubmit));
   w.u64(id);
   request.serialize(w);
-  return append_record(w.view());
+  return file_.append(w.view());
 }
 
 support::Status JobJournal::append_start(std::uint64_t id,
@@ -230,7 +124,7 @@ support::Status JobJournal::append_start(std::uint64_t id,
   w.u8(static_cast<std::uint8_t>(JournalRecordType::kStart));
   w.u64(id);
   w.u32(shard);
-  return append_record(w.view());
+  return file_.append(w.view());
 }
 
 support::Status JobJournal::append_complete(std::uint64_t id,
@@ -239,19 +133,17 @@ support::Status JobJournal::append_complete(std::uint64_t id,
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(JournalRecordType::kComplete));
   w.u64(id);
-  w.u8(static_cast<std::uint8_t>(result.code()));
-  w.u32(static_cast<std::uint32_t>(result.message().size()));
-  w.str(result.message());
+  put_status(w, result);
   w.u32(static_cast<std::uint32_t>(report_json.size()));
   w.str(report_json);
-  return append_record(w.view());
+  return file_.append(w.view());
 }
 
 support::Status JobJournal::append_cancel(std::uint64_t id) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(JournalRecordType::kCancel));
   w.u64(id);
-  return append_record(w.view());
+  return file_.append(w.view());
 }
 
 }  // namespace gb::daemon

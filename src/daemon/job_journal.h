@@ -12,20 +12,22 @@
 // cancelled or interrupted scan never advances the machine's virtual
 // clock, so the re-run is byte-identical to the run the crash stole).
 //
-// On-disk layout (little-endian throughout):
+// The file is a support::RecordFile ("GBJL", version 2, records up to
+// 64 MiB), which owns the framing, the torn-tail and sticky-failure rules
+// and the flush per record. This class keeps the record encoders and
+// apply_record, which folds each payload into the restart image:
 //
-//   header   "GBJL" magic (u32) | format version (u32)
-//   record*  payload_len (u32) | crc32(payload) (u32) | payload
 //   payload  record type (u8) | job id (u64) | type-specific fields
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "daemon/job_request.h"
+#include "support/record_file.h"
 #include "support/status.h"
 
 namespace gb::daemon {
@@ -71,14 +73,16 @@ struct JournalReplay {
 
 /// Append-only journal handle. Writes flush before returning: when an
 /// append call comes back OK the record survives a kill -9 of the
-/// daemon. Not internally synchronized — the daemon serializes appends
-/// under its own lock.
+/// daemon, and after one failed append every later one fails unwritten.
+/// Not internally synchronized — the daemon serializes appends under its
+/// own lock.
 class JobJournal {
  public:
   /// Opens (creating if absent) and replays the journal at `path`.
   /// A torn tail is truncated in place; a CRC-valid record stream that
   /// violates journal semantics (terminal record for an unknown id,
-  /// duplicate submit) is kCorrupt — that is not crash damage.
+  /// duplicate submit) is kCorrupt — that is not crash damage, and the
+  /// file is left as found.
   [[nodiscard]] static support::StatusOr<JobJournal> open(
       const std::string& path);
 
@@ -88,7 +92,7 @@ class JobJournal {
   /// The restart image captured by open(). Appends after open do not
   /// update it; the daemon folds live transitions into its own state.
   [[nodiscard]] const JournalReplay& replay() const { return replay_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] const std::string& path() const { return file_.path(); }
 
   [[nodiscard]] support::Status append_submit(std::uint64_t id,
                                               const JobRequest& request);
@@ -100,13 +104,10 @@ class JobJournal {
   [[nodiscard]] support::Status append_cancel(std::uint64_t id);
 
  private:
-  JobJournal() = default;
+  JobJournal(support::RecordFile file, JournalReplay replay)
+      : file_(std::move(file)), replay_(std::move(replay)) {}
 
-  [[nodiscard]] support::Status append_record(
-      std::span<const std::byte> payload);
-
-  std::string path_;
-  std::ofstream out_;
+  support::RecordFile file_;
   JournalReplay replay_;
 };
 

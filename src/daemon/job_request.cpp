@@ -1,5 +1,7 @@
 #include "daemon/job_request.h"
 
+#include "support/checksum.h"
+
 namespace gb::daemon {
 
 support::Status status_from_wire(std::uint8_t code, std::string message) {
@@ -22,13 +24,20 @@ support::Status status_from_wire(std::uint8_t code, std::string message) {
                           ": " + std::move(message));
 }
 
+void put_status(ByteWriter& w, const support::Status& status) {
+  w.u8(static_cast<std::uint8_t>(status.code()));
+  w.u32(static_cast<std::uint32_t>(status.message().size()));
+  w.str(status.message());
+}
+
+support::Status get_status(ByteReader& r) {
+  const std::uint8_t code = r.u8();
+  std::string message = r.str(r.u32());
+  return status_from_wire(code, std::move(message));
+}
+
 std::uint64_t machine_shard_hash(std::string_view machine_id) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  for (char ch : machine_id) {
-    h ^= static_cast<std::uint8_t>(ch);
-    h *= 0x00000100000001B3ull;  // FNV prime
-  }
-  return h;
+  return support::fnv1a(machine_id);
 }
 
 void JobRequest::serialize(ByteWriter& w) const {

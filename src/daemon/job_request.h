@@ -11,24 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "core/scan_engine.h"
 #include "support/bytes.h"
-#include "support/checksum.h"
 #include "support/status.h"
 
 namespace gb::daemon {
-
-/// CRC-32 (IEEE 802.3, reflected) over raw bytes. The integrity check
-/// framing both the job journal and the wire protocol — a torn journal
-/// tail or a corrupted frame fails its CRC and is rejected instead of
-/// being replayed/served as truth. The implementation lives in
-/// support/checksum.h so gb::obs can share the exact same framing.
-[[nodiscard]] inline std::uint32_t crc32(std::span<const std::byte> data) {
-  return support::crc32(data);
-}
 
 /// Rebuilds a Status from its serialized (code, message) pair, as the
 /// journal's complete records and the wire protocol's replies carry it.
@@ -36,9 +25,16 @@ namespace gb::daemon {
 [[nodiscard]] support::Status status_from_wire(std::uint8_t code,
                                                std::string message);
 
+/// Appends a Status as code (u8) | message_len (u32) | message: the
+/// encoding the journal's complete records and the wire's replies share.
+void put_status(ByteWriter& w, const support::Status& status);
+/// Reads a Status written by put_status. Throws ParseError on truncated
+/// input, like the ByteReader it reads from.
+[[nodiscard]] support::Status get_status(ByteReader& r);
+
 /// Stable 64-bit hash of a machine id — the shard-partitioning key.
-/// FNV-1a: deterministic across runs and platforms, so a job re-queued
-/// after a daemon restart lands on the same shard index.
+/// support::fnv1a: deterministic across runs and platforms, so a job
+/// re-queued after a daemon restart lands on the same shard index.
 [[nodiscard]] std::uint64_t machine_shard_hash(std::string_view machine_id);
 
 /// One fleet scan job, by value. Everything here is journal- and

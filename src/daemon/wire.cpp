@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "support/bytes.h"
+#include "support/record_file.h"
 
 namespace gb::daemon {
 namespace {
@@ -26,18 +27,6 @@ support::StatusOr<std::size_t> read_exact(Transport& t,
     off += *n;
   }
   return off;
-}
-
-void put_status(ByteWriter& w, const support::Status& status) {
-  w.u8(static_cast<std::uint8_t>(status.code()));
-  w.u32(static_cast<std::uint32_t>(status.message().size()));
-  w.str(status.message());
-}
-
-support::Status get_status(ByteReader& r) {
-  const std::uint8_t code = r.u8();
-  std::string message = r.str(r.u32());
-  return status_from_wire(code, std::move(message));
 }
 
 void put_string(ByteWriter& w, std::string_view s) {
@@ -76,14 +65,12 @@ auto decode_body(std::span<const std::byte> payload, const char* what,
 }  // namespace
 
 support::Status Framer::write_frame(std::span<const std::byte> payload) {
-  if (payload.size() > kMaxFramePayload) {
-    return support::Status::internal("wire: frame payload too large");
-  }
   ByteWriter w;
   w.str(std::string_view(kFrameMagic, 4));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(crc32(payload));
-  w.bytes(payload);
+  if (support::Status s = support::put_frame(w, payload, kMaxFramePayload);
+      !s.ok()) {
+    return s;
+  }
   // Same serialized-frame contract as read_exact above: the caller's
   // connection lock is what makes a frame atomic on the wire.
   // gb-lint: allow(blocking-under-lock)
@@ -91,7 +78,7 @@ support::Status Framer::write_frame(std::span<const std::byte> payload) {
 }
 
 support::StatusOr<std::vector<std::byte>> Framer::read_frame() {
-  std::array<std::byte, 12> header{};
+  std::array<std::byte, 4 + support::kFramePrefixBytes> header{};
   support::StatusOr<std::size_t> got = read_exact(transport_, header);
   if (!got.ok()) return got.status();
   if (*got == 0) {
@@ -100,23 +87,26 @@ support::StatusOr<std::vector<std::byte>> Framer::read_frame() {
   if (*got < header.size()) {
     return support::Status::corrupt("wire: truncated frame header");
   }
-  ByteReader r(header);
-  if (r.str(4) != std::string_view(kFrameMagic, 4)) {
+  if (ByteReader(header).str(4) != std::string_view(kFrameMagic, 4)) {
     return support::Status::corrupt("wire: bad frame magic");
   }
-  const std::uint32_t len = r.u32();
-  const std::uint32_t crc = r.u32();
-  if (len > kMaxFramePayload) {
-    return support::Status::corrupt("wire: oversized frame length " +
-                                    std::to_string(len));
+  const auto prefix = std::span<const std::byte>(header)
+                          .subspan<4, support::kFramePrefixBytes>();
+  // Checked before the payload buffer is sized from it.
+  const support::FrameCheck length =
+      support::check_frame(prefix, {}, kMaxFramePayload);
+  if (length.state == support::FrameState::kBadLength) {
+    return support::Status::corrupt("wire: bad frame length " +
+                                    std::to_string(length.payload_len));
   }
-  std::vector<std::byte> payload(len);
+  std::vector<std::byte> payload(length.payload_len);
   got = read_exact(transport_, payload);
   if (!got.ok()) return got.status();
   if (*got < payload.size()) {
     return support::Status::corrupt("wire: truncated frame payload");
   }
-  if (crc32(payload) != crc) {
+  if (support::check_frame(prefix, payload, kMaxFramePayload).state !=
+      support::FrameState::kIntact) {
     return support::Status::corrupt("wire: frame checksum mismatch");
   }
   return payload;

@@ -6,11 +6,15 @@
 //   frame    "GBWF" magic (4 bytes) | payload_len (u32) | crc32 (u32)
 //            | payload
 //
-// A frame either arrives whole and CRC-clean or the connection is
-// declared corrupt (kCorrupt) — truncated header, bad magic, a length
-// above kMaxFramePayload, or a checksum mismatch all poison the stream,
-// because after any of them the frame boundary is unrecoverable. EOF
-// exactly at a frame boundary is the one clean shutdown (kUnavailable).
+// After the magic this is the `len | crc32 | payload` frame of
+// support/record_file.h, encoded by support::put_frame and verified by
+// support::check_frame, the codec the job journal and the flight
+// recorder use. A frame either arrives whole and CRC-clean or the
+// connection is declared corrupt (kCorrupt) — truncated header, bad
+// magic, a length of 0 or above kMaxFramePayload, or a checksum mismatch
+// all poison the stream, because after any of them the frame boundary
+// is unrecoverable. EOF exactly at a frame boundary is the one clean
+// shutdown (kUnavailable).
 //
 // Layer 2 — verbs: each frame's payload begins with a Verb byte
 // followed by that verb's ByteWriter encoding (see docs/
@@ -146,12 +150,13 @@ class Framer {
  public:
   explicit Framer(Transport& transport) : transport_(transport) {}
 
-  /// Sends one frame wrapping `payload`.
+  /// Sends one frame wrapping `payload`. kInternal, with nothing sent,
+  /// for an empty payload or one above kMaxFramePayload.
   [[nodiscard]] support::Status write_frame(std::span<const std::byte> payload);
 
   /// Reads the next whole frame. kUnavailable: the peer closed cleanly
-  /// between frames. kCorrupt: torn frame, bad magic, oversized length,
-  /// or CRC mismatch — the stream is unusable and must be closed.
+  /// between frames. kCorrupt: torn frame, bad magic, zero or oversized
+  /// length, or CRC mismatch — the stream is unusable and must be closed.
   [[nodiscard]] support::StatusOr<std::vector<std::byte>> read_frame();
 
  private:

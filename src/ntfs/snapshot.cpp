@@ -7,6 +7,7 @@
 #include <string>
 
 #include "ntfs/ntfs_format.h"
+#include "support/checksum.h"
 
 namespace gb::ntfs {
 
@@ -14,15 +15,6 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x50414E53;  // "SNAP"
 constexpr std::uint16_t kSnapshotVersion = 1;
-
-std::uint64_t fnv1a(std::span<const std::byte> data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::uint64_t record_lba(std::uint64_t mft_start_cluster,
                          std::uint64_t record) {
@@ -35,7 +27,7 @@ std::uint64_t record_lba(std::uint64_t mft_start_cluster,
 void MftSnapshot::classify_into(std::uint64_t record,
                                 std::span<const std::byte> image) {
   MftSlot s;
-  s.digest = fnv1a(image);
+  s.digest = support::fnv1a(image);
   if (!MftRecord::looks_live(image)) {
     s.kind = MftSlotKind::kFree;
   } else {
@@ -87,7 +79,7 @@ void MftSnapshot::refresh(disk::SectorDevice& dev,
   for (std::uint64_t rec : unique) {
     if (rec >= slots_.size()) continue;
     dev.read(record_lba(mft_start_cluster_, rec), image);
-    const std::uint64_t digest = fnv1a(image);
+    const std::uint64_t digest = support::fnv1a(image);
     if (digest == slots_[rec].digest) {
       if (stats) ++stats->unchanged;
       continue;
@@ -109,7 +101,7 @@ std::vector<std::uint64_t> MftSnapshot::verify(disk::SectorDevice& dev) const {
   std::vector<std::byte> image(kMftRecordSize);
   for (std::uint64_t i = 0; i < slots_.size(); ++i) {
     dev.read(record_lba(mft_start_cluster_, i), image);
-    if (fnv1a(image) != slots_[i].digest) mismatched.push_back(i);
+    if (support::fnv1a(image) != slots_[i].digest) mismatched.push_back(i);
   }
   return mismatched;
 }

@@ -1,142 +1,50 @@
 #include "obs/event_log.h"
 
-#include <filesystem>
 #include <utility>
 
-#include "support/checksum.h"
+#include "support/bytes.h"
 
 namespace gb::obs {
 
 namespace {
 
-constexpr char kMagic[4] = {'G', 'B', 'E', 'L'};
-constexpr std::uint32_t kFormatVersion = 1;
-constexpr std::size_t kHeaderBytes = 8;
-constexpr std::size_t kMaxRecordBytes = 64 * 1024;
+constexpr support::RecordFormat kFormat{"event log", "GBEL", 1, 64 * 1024};
 
-// gb::ByteWriter/ByteReader live in gb_support, which links *against*
-// gb_obs (the pool instruments metrics) — so the recorder hand-rolls
-// its little-endian framing to keep obs at the bottom of the stack.
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffu));
-  }
+void encode_event(ByteWriter& w, const LogEvent& e) {
+  w.u64(e.seq);
+  w.u8(static_cast<std::uint8_t>(e.type));
+  w.u64(e.job_id);
+  w.u64(e.ts_us);
+  w.u32(static_cast<std::uint32_t>(e.detail.size()));
+  w.str(e.detail);
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-/// Bounds-checked little-endian reader; ok flips false on truncation
-/// and every later read returns zero, so callers test once at the end.
-struct Cursor {
-  std::span<const std::byte> data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  [[nodiscard]] std::size_t remaining() const { return data.size() - pos; }
-
-  std::uint8_t u8() {
-    if (remaining() < 1) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(data[pos++]);
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{u8()} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (std::uint64_t{u32()} << 32);
-  }
-  std::string str(std::size_t n) {
-    if (remaining() < n) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data.data() + pos), n);
-    pos += n;
-    return s;
-  }
-  std::span<const std::byte> bytes(std::size_t n) {
-    if (remaining() < n) {
-      ok = false;
-      return {};
-    }
-    const auto out = data.subspan(pos, n);
-    pos += n;
-    return out;
-  }
-};
-
-struct ParsedFile {
-  std::vector<LogEvent> events;
-  std::uint64_t intact_bytes = 0;  // header + every intact record
-  bool fresh = false;              // missing or sub-header file
-};
-
-/// Reads and walks one event file. A torn tail (truncated record, CRC
-/// mismatch) ends the walk at the last intact record; a bad header or a
-/// CRC-valid record with a bad event type is kCorrupt.
-support::StatusOr<ParsedFile> parse_file(const std::string& path) {
-  ParsedFile out;
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    out.fresh = true;
-    return out;
-  }
-  const auto size = static_cast<std::size_t>(in.tellg());
-  if (size < kHeaderBytes) {
-    out.fresh = true;
-    return out;
-  }
-  std::vector<std::byte> bytes(size);
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(size));
-  if (!in) return support::Status::internal("event log: short read: " + path);
-
-  Cursor r{bytes};
-  if (r.str(4) != std::string(kMagic, 4)) {
-    return support::Status::corrupt("event log: bad magic: " + path);
-  }
-  if (const std::uint32_t version = r.u32(); version != kFormatVersion) {
-    return support::Status::corrupt("event log: unsupported version " +
-                                    std::to_string(version));
-  }
-  out.intact_bytes = kHeaderBytes;
-  while (r.remaining() > 0) {
-    if (r.remaining() < 8) break;  // torn length/crc prefix
-    const std::uint32_t len = r.u32();
-    const std::uint32_t crc = r.u32();
-    if (len == 0 || len > kMaxRecordBytes || r.remaining() < len) break;
-    const auto payload = r.bytes(len);
-    if (support::crc32(payload) != crc) break;
-    Cursor pr{payload};
-    LogEvent e;
-    e.seq = pr.u64();
-    const std::uint8_t type = pr.u8();
+/// Decodes one intact record's payload onto `out`. A CRC-valid record
+/// with a bad event type or a malformed body is kCorrupt.
+support::Status decode_event(std::span<const std::byte> payload,
+                             std::vector<LogEvent>& out) {
+  ByteReader r(payload);
+  LogEvent e;
+  try {
+    e.seq = r.u64();
+    const std::uint8_t type = r.u8();
     if (type < static_cast<std::uint8_t>(EventType::kSubmit) ||
         type > static_cast<std::uint8_t>(EventType::kDrain)) {
       return support::Status::corrupt("event log: bad event type " +
                                       std::to_string(type));
     }
     e.type = static_cast<EventType>(type);
-    e.job_id = pr.u64();
-    e.ts_us = pr.u64();
-    e.detail = pr.str(pr.u32());
-    if (!pr.ok || pr.remaining() != 0) {
-      return support::Status::corrupt("event log: malformed record payload");
-    }
-    out.events.push_back(std::move(e));
-    out.intact_bytes += 8 + len;
+    e.job_id = r.u64();
+    e.ts_us = r.u64();
+    e.detail = r.str(r.u32());
+  } catch (const ParseError&) {
+    return support::Status::corrupt("event log: malformed record payload");
   }
-  return out;
+  if (!r.at_end()) {
+    return support::Status::corrupt("event log: malformed record payload");
+  }
+  out.push_back(std::move(e));
+  return support::Status();
 }
 
 }  // namespace
@@ -164,50 +72,19 @@ EventLog::EventLog(std::size_t capacity)
 }
 
 support::Status EventLog::attach(const std::string& path) {
+  std::vector<LogEvent> replayed;
+  auto file = support::RecordFile::open(
+      path, kFormat, [&replayed](std::span<const std::byte> payload) {
+        return decode_event(payload, replayed);
+      });
+  if (!file.ok()) return file.status();
+  // Continue the previous incarnation's sequence numbering.
   support::MutexLock lk(mu_);
-  auto parsed = parse_file(path);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed->fresh) {
-    std::ofstream fresh(path, std::ios::binary | std::ios::trunc);
-    if (!fresh) {
-      return support::Status::internal("event log: cannot create " + path);
-    }
-    std::vector<std::byte> header;
-    header.insert(header.end(),
-                  {std::byte{'G'}, std::byte{'B'}, std::byte{'E'},
-                   std::byte{'L'}});
-    put_u32(header, kFormatVersion);
-    fresh.write(reinterpret_cast<const char*>(header.data()),
-                static_cast<std::streamsize>(header.size()));
-    // One-time file creation: the header must be durable before any
-    // appender can race in, and open() already holds mu for that reason.
-    // gb-lint: allow(blocking-under-lock)
-    fresh.flush();
-    if (!fresh) {
-      return support::Status::internal("event log: cannot write " + path);
-    }
-  } else {
-    // Drop any torn tail so this incarnation appends after the last
-    // intact record, then continue its sequence numbering.
-    std::error_code ec;
-    const auto on_disk = std::filesystem::file_size(path, ec);
-    if (!ec && on_disk > parsed->intact_bytes) {
-      std::filesystem::resize_file(path, parsed->intact_bytes, ec);
-      if (ec) {
-        return support::Status::internal(
-            "event log: cannot truncate torn tail of " + path);
-      }
-    }
-    for (const LogEvent& e : parsed->events) {
-      ring_[e.seq % capacity_] = e;
-      next_seq_ = e.seq + 1;
-    }
+  for (LogEvent& e : replayed) {
+    next_seq_ = e.seq + 1;
+    ring_[e.seq % capacity_] = std::move(e);
   }
-  file_.open(path, std::ios::binary | std::ios::app);
-  if (!file_) {
-    return support::Status::internal("event log: cannot open " + path);
-  }
-  attached_ = true;
+  file_ = std::move(file).value();
   return support::Status();
 }
 
@@ -223,31 +100,11 @@ void EventLog::append(EventType type, std::uint64_t job_id,
           std::chrono::steady_clock::now() - epoch_)
           .count());
   e.detail = std::move(detail);
-  if (attached_) {
-    std::vector<std::byte> payload;
-    payload.reserve(29 + e.detail.size());
-    put_u64(payload, e.seq);
-    payload.push_back(static_cast<std::byte>(e.type));
-    put_u64(payload, e.job_id);
-    put_u64(payload, e.ts_us);
-    put_u32(payload, static_cast<std::uint32_t>(e.detail.size()));
-    for (const char c : e.detail) payload.push_back(static_cast<std::byte>(c));
-    std::vector<std::byte> frame;
-    frame.reserve(8 + payload.size());
-    put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-    put_u32(frame, support::crc32(payload));
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    file_.write(reinterpret_cast<const char*>(frame.data()),
-                static_cast<std::streamsize>(frame.size()));
-    // Flush-per-record under mu is the event log's durability contract:
-    // a record is either fully on disk or never acknowledged, and the
-    // lock is what keeps frames from interleaving mid-write.
-    // gb-lint: allow(blocking-under-lock)
-    file_.flush();
-    if (!file_) {
-      ++write_failures_;
-      file_.clear();
-    }
+  if (file_) {
+    ByteWriter payload;
+    encode_event(payload, e);
+    // Appending under mu keeps the file in seq order.
+    if (!file_->append(payload.view()).ok()) ++write_failures_;
   }
   ring_[e.seq % capacity_] = std::move(e);
 }
@@ -277,12 +134,13 @@ std::uint64_t EventLog::write_failures() const {
 
 support::StatusOr<std::vector<LogEvent>> EventLog::read_file(
     const std::string& path) {
-  auto parsed = parse_file(path);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed->fresh) {
-    return support::Status::not_found("event log: no such file: " + path);
-  }
-  return std::move(parsed->events);
+  std::vector<LogEvent> events;
+  const support::Status read = support::RecordFile::read(
+      path, kFormat, [&events](std::span<const std::byte> payload) {
+        return decode_event(payload, events);
+      });
+  if (!read.ok()) return read;
+  return events;
 }
 
 }  // namespace gb::obs

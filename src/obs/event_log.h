@@ -9,15 +9,13 @@
 // so `gb_daemond --flight-recorder` can replay the last N events of a
 // daemon that died mid-job.
 //
-// Framing (shared shape with daemon::JobJournal, support::crc32):
+// The file is a support::RecordFile ("GBEL", version 1, records up to
+// 64 KiB), the job journal's format. RecordFile owns the framing and the
+// torn-tail and sticky-failure rules; this class keeps the ring and the
+// payload codec:
 //
-//   header   "GBEL" magic (4 bytes) | format version (u32)
-//   record*  payload_len (u32) | crc32(payload) (u32) | payload
 //   payload  seq (u64) | type (u8) | job id (u64) | ts_us (u64)
 //            | detail_len (u32) | detail bytes
-//
-// A torn tail (partial record, bad CRC) ends the replay at the last
-// intact record — that is the crash point, not corruption to report.
 //
 // Determinism: the recorder observes; it never feeds back into scan
 // output. Reports are byte-identical with the event log on or off.
@@ -25,11 +23,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "support/record_file.h"
 #include "support/status.h"
 #include "support/thread_annotations.h"
 
@@ -75,7 +73,8 @@ class EventLog {
 
   /// Records one event. Thread-safe; cheap (one small mutex, one framed
   /// write when attached). Never throws; a failed persistence write is
-  /// counted, not fatal — the ring still records.
+  /// counted, not fatal — the ring still records. After one failed write
+  /// the file takes no more records, and each later append counts too.
   void append(EventType type, std::uint64_t job_id, std::string detail);
 
   /// The last n events (oldest first). n == 0 returns everything the
@@ -97,8 +96,7 @@ class EventLog {
   std::uint64_t next_seq_ GB_GUARDED_BY(mu_) = 0;
   std::uint64_t write_failures_ GB_GUARDED_BY(mu_) = 0;
   std::chrono::steady_clock::time_point epoch_;
-  std::ofstream file_ GB_GUARDED_BY(mu_);
-  bool attached_ GB_GUARDED_BY(mu_) = false;
+  std::optional<support::RecordFile> file_ GB_GUARDED_BY(mu_);
 };
 
 }  // namespace gb::obs

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/strings.h"
+
 namespace gb::obs {
 
 namespace internal {
@@ -21,35 +23,6 @@ std::size_t thread_slot() {
 }  // namespace internal
 
 namespace {
-
-/// Minimal JSON string escape, local so gb_obs stays dependency-free
-/// (gb_support links gb_obs, so using support/strings.h here would be a
-/// cycle). Metric names are code-controlled; labels may carry tenant ids.
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 /// Numbers render as integers when they are one (the common case for
 /// counters) and as shortest-ish decimal otherwise.
@@ -349,7 +322,7 @@ std::string MetricsRegistry::to_json() const {
     const Entry& e = *ep;
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":" << escape_json(e.name) << ",\"kind\":\""
+    os << "{\"name\":" << json_quote(e.name) << ",\"kind\":\""
        << (e.kind == Kind::kCounter   ? "counter"
            : e.kind == Kind::kGauge   ? "gauge"
                                       : "histogram")
@@ -358,7 +331,7 @@ std::string MetricsRegistry::to_json() const {
     for (const auto& [k, v] : e.labels) {
       if (!first_label) os << ',';
       first_label = false;
-      os << escape_json(k) << ':' << escape_json(v);
+      os << json_quote(k) << ':' << json_quote(v);
     }
     os << '}';
     switch (e.kind) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/metrics.h"  // internal::thread_slot / kSlots
+#include "support/strings.h"
 
 namespace gb::obs {
 
@@ -33,29 +34,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-void escape_into(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 std::string hex_id(std::uint64_t id) {
@@ -253,9 +231,9 @@ std::string chrome_trace_json(std::vector<TraceEvent> events) {
     if (!first) os << ',';
     first = false;
     os << "{\"name\":";
-    escape_into(os, e.name);
+    os << json_quote(e.name);
     os << ",\"cat\":";
-    escape_into(os, e.cat);
+    os << json_quote(e.cat);
     os << ",\"ph\":\"" << e.ph << "\",\"ts\":" << e.ts_us;
     if (e.ph == 'X') os << ",\"dur\":" << e.dur_us;
     if (e.ph == 'i') os << ",\"s\":\"t\"";
@@ -267,9 +245,9 @@ std::string chrome_trace_json(std::vector<TraceEvent> events) {
       for (const auto& [k, v] : e.args) {
         if (!fa) os << ',';
         fa = false;
-        escape_into(os, k);
+        os << json_quote(k);
         os << ':';
-        escape_into(os, v);
+        os << json_quote(v);
       }
       if (traced) {
         if (!fa) os << ',';

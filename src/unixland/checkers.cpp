@@ -1,17 +1,10 @@
 #include "unixland/checkers.h"
 
+#include "support/checksum.h"
+
 namespace gb::unixland {
 
 namespace {
-
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 /// The binaries a 2004-era integrity db would track.
 constexpr const char* kTrackedBinaries[] = {
@@ -30,7 +23,7 @@ BinaryHashDb build_hash_db(const UnixMachine& clean_box) {
   BinaryHashDb db;
   for (const char* path : kTrackedBinaries) {
     if (clean_box.fs().exists(path)) {
-      db[path] = fnv1a(clean_box.fs().read(path));
+      db[path] = support::fnv1a(clean_box.fs().read(path));
     }
   }
   return db;
@@ -44,7 +37,7 @@ std::vector<std::string> check_binaries(const UnixMachine& m,
       bad.push_back(path + " (missing)");
       continue;
     }
-    if (fnv1a(m.fs().read(path)) != good_hash) bad.push_back(path);
+    if (support::fnv1a(m.fs().read(path)) != good_hash) bad.push_back(path);
   }
   return bad;
 }

@@ -1,18 +1,29 @@
 // Parser robustness fuzzing: random and mutated inputs must produce
 // ParseError (or a valid parse), never crashes or hangs. The byte-level
 // parsers are the trusted foundation of every low-level scan, so they
-// face adversarial inputs by design.
+// face adversarial inputs by design. So does the one record-framing
+// parser (support/record_file.h): a crash leaves the job journal and
+// the flight recorder half-written, and a wire peer may send anything.
+// Those cases must turn every input into a value or a Status.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <string>
 
+#include "daemon/job_journal.h"
+#include "daemon/transport.h"
+#include "daemon/wire.h"
 #include "hive/hive.h"
 #include "kernel/carve.h"
 #include "kernel/dump.h"
 #include "kernel/dump_format.h"
 #include "ntfs/mft_record.h"
 #include "ntfs/runlist.h"
+#include "obs/event_log.h"
 #include "support/rng.h"
+#include "support/status.h"
 
 namespace gb {
 namespace {
@@ -23,9 +34,70 @@ std::vector<std::byte> random_bytes(Rng& rng, std::size_t n) {
   return out;
 }
 
+/// Mutations per seed for the record-framing cases.
+constexpr int kFramingRounds = 50;
+
+std::vector<std::byte> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> chars((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  const auto* first = reinterpret_cast<const std::byte*>(chars.data());
+  return std::vector<std::byte>(first, first + chars.size());
+}
+
+void write_bytes(const std::string& path, std::span<const std::byte> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<std::byte> golden(const char* name) {
+  const std::vector<std::byte> bytes =
+      read_bytes(std::string(GB_GOLDEN_DIR) + "/" + name);
+  EXPECT_FALSE(bytes.empty()) << name;
+  return bytes;
+}
+
+/// Overwrites a few random bytes, then half the time cuts the copy at a
+/// random length: the damage a crash or a hostile peer leaves.
+std::vector<std::byte> mutate(Rng& rng, std::vector<std::byte> bytes) {
+  const std::size_t hits = 1 + rng.below(4);
+  for (std::size_t i = 0; i < hits && !bytes.empty(); ++i) {
+    bytes[rng.below(bytes.size())] = static_cast<std::byte>(rng.below(256));
+  }
+  if (rng.below(2) == 0) bytes.resize(rng.below(bytes.size() + 1));
+  return bytes;
+}
+
+/// Sends `bytes` as one closed stream and reads frames until the Framer
+/// stops: at EOF between frames (kUnavailable) or at damage (kCorrupt).
+void read_every_frame(std::span<const std::byte> bytes) {
+  daemon::PipePair pipe = daemon::make_pipe();  // holds the whole stream
+  ASSERT_TRUE(pipe.client->send_bytes(bytes).ok());
+  pipe.client->close();
+  daemon::Framer framer(*pipe.server);
+  for (std::size_t frames = 0;; ++frames) {
+    // A frame is at least 13 bytes (magic, prefix, one payload byte), so
+    // a reader that keeps "succeeding" past that is not making progress.
+    ASSERT_LE(frames, bytes.size() / 13);
+    const auto frame = framer.read_frame();
+    if (frame.ok()) continue;
+    const support::StatusCode code = frame.status().code();
+    EXPECT_TRUE(code == support::StatusCode::kCorrupt ||
+                code == support::StatusCode::kUnavailable)
+        << frame.status().to_string();
+    return;
+  }
+}
+
 class ParserFuzz : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   Rng rng_{GetParam() * 2654435761ull};
+
+  std::string temp_file(const char* tag) const {
+    return ::testing::TempDir() + "/gb_fuzz_" + tag + "_" +
+           std::to_string(GetParam());
+  }
 };
 
 TEST_P(ParserFuzz, RandomMftRecordsNeverCrash) {
@@ -134,6 +206,78 @@ TEST_P(ParserFuzz, TruncatedRunListsNeverCrash) {
     const auto decoded = ntfs::decode_runlist(r);
     (void)decoded;
   } catch (const ParseError&) {
+  }
+}
+
+TEST_P(ParserFuzz, MutatedJournalsOpenToAReplayOrAStatus) {
+  const std::vector<std::byte> original = golden("job_journal_v2.gbj");
+  const std::string path = temp_file("journal");
+  for (int round = 0; round < kFramingRounds; ++round) {
+    const std::vector<std::byte> bytes = mutate(rng_, original);
+    write_bytes(path, bytes);
+    const auto journal = daemon::JobJournal::open(path);
+    const std::vector<std::byte> after = read_bytes(path);
+    if (!journal.ok()) {
+      // Failing replay is kCorrupt and leaves the file as found.
+      EXPECT_EQ(journal.status().code(), support::StatusCode::kCorrupt)
+          << journal.status().to_string();
+      EXPECT_EQ(after, bytes);
+      continue;
+    }
+    EXPECT_LE(journal->replay().records, 8u);
+    if (bytes.size() < 8) {
+      EXPECT_EQ(after.size(), 8u);  // a fresh header
+    } else {
+      // The intact prefix stays, the torn tail goes.
+      ASSERT_EQ(after.size() + journal->replay().truncated_bytes,
+                bytes.size());
+      EXPECT_TRUE(std::equal(after.begin(), after.end(), bytes.begin()));
+    }
+  }
+}
+
+TEST_P(ParserFuzz, MutatedEventLogsReadToEventsOrAStatus) {
+  const std::vector<std::byte> original = golden("event_log_v1.events");
+  const std::string path = temp_file("events");
+  for (int round = 0; round < kFramingRounds; ++round) {
+    const std::vector<std::byte> bytes = mutate(rng_, original);
+    write_bytes(path, bytes);
+    const auto events = obs::EventLog::read_file(path);
+    if (events.ok()) {
+      EXPECT_LE(events->size(), 10u);
+    } else {
+      const support::StatusCode code = events.status().code();
+      EXPECT_TRUE(code == support::StatusCode::kCorrupt ||
+                  code == support::StatusCode::kNotFound)
+          << events.status().to_string();
+    }
+    EXPECT_EQ(read_bytes(path), bytes);  // a post-mortem read never writes
+  }
+}
+
+TEST_P(ParserFuzz, RandomFrameStreamsEndInAStatus) {
+  for (int round = 0; round < kFramingRounds; ++round) {
+    std::vector<std::byte> bytes = random_bytes(rng_, rng_.below(512));
+    if (bytes.size() >= 4 && rng_.below(2) == 0) {
+      // Get past the magic half the time, so the length and CRC checks
+      // see random values too.
+      const auto magic = to_bytes("GBWF");
+      std::copy(magic.begin(), magic.end(), bytes.begin());
+    }
+    read_every_frame(bytes);
+  }
+}
+
+TEST_P(ParserFuzz, MutatedFrameStreamsEndInAStatus) {
+  const std::vector<std::byte> poll = golden("wire_poll.frame");
+  const std::vector<std::byte> chunk = golden("wire_result_chunk.frame");
+  std::vector<std::byte> stream;
+  for (int i = 0; i < 2; ++i) {
+    stream.insert(stream.end(), poll.begin(), poll.end());
+    stream.insert(stream.end(), chunk.begin(), chunk.end());
+  }
+  for (int round = 0; round < kFramingRounds; ++round) {
+    read_every_frame(mutate(rng_, stream));
   }
 }
 

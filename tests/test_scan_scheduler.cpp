@@ -411,6 +411,52 @@ TEST(SchedulerStress, ManyTenantsRandomCancelsUnderSharedPool) {
   EXPECT_EQ(stats.running, 0u);
 }
 
+// Machines are not internally synchronized: two scans of one machine
+// race in its process table and flush hives into its volume at once.
+// The scheduler runs one job per machine at a time, so the span in
+// which a job holds its machine (configure_engine through on_complete)
+// never overlaps another job's on that machine, even with idle workers.
+// A session job holds its session's machine; it has no configure_engine
+// hook to time, so a TSan build is what checks that it serializes too.
+TEST(SchedulerMachines, JobsForOneMachineNeverOverlap) {
+  machine::Machine shared(tiny_config(1));
+  machine::Machine other(tiny_config(2));
+  ScanConfig session_cfg;
+  session_cfg.parallelism = 1;
+  ScanEngine session_engine(shared, session_cfg);
+  ScanSession session = session_engine.open_session();
+  ScanScheduler::Options opts;
+  opts.workers = 4;
+  ScanScheduler sched(opts);
+
+  std::atomic<int> on_shared{0};
+  std::atomic<int> most_on_shared{0};
+  std::vector<ScanJob> jobs;
+  for (int i = 0; i < 6; ++i) {
+    JobSpec spec;
+    const bool on_shared_box = i % 3 != 2;
+    spec.machine = on_shared_box ? &shared : &other;
+    spec.config.resources = ResourceMask::kProcesses;
+    if (on_shared_box) {
+      spec.configure_engine = [&](ScanEngine&) {
+        const int now = on_shared.fetch_add(1) + 1;
+        int most = most_on_shared.load();
+        while (now > most && !most_on_shared.compare_exchange_weak(most, now)) {
+        }
+      };
+      spec.on_complete = [&](std::uint64_t, support::StatusOr<Report>&) {
+        on_shared.fetch_sub(1);
+      };
+    }
+    jobs.push_back(sched.submit(std::move(spec)).value());
+  }
+  JobSpec session_job;
+  session_job.session = &session;
+  jobs.push_back(sched.submit(std::move(session_job)).value());
+  for (auto& job : jobs) ASSERT_TRUE(job.wait().ok());
+  EXPECT_EQ(most_on_shared.load(), 1);
+}
+
 // Regression: progress() reads phase and the two task counters from
 // separate atomics. A job finishing (or cancelling) between those loads
 // used to pair a terminal phase with mid-flight counters — and a
