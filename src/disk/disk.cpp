@@ -43,21 +43,10 @@ MemDisk::MemDisk(std::uint64_t sector_count)
     : sector_count_(sector_count), image_(sector_count * kSectorSize) {}
 
 void MemDisk::check_range(std::uint64_t lba, std::size_t sectors) const {
-  if (lba + sectors > sector_count_) {
+  if (lba > sector_count_ || sectors > sector_count_ - lba) {
     throw std::out_of_range("disk access beyond device: lba=" +
                             std::to_string(lba) +
                             " sectors=" + std::to_string(sectors));
-  }
-}
-
-void MemDisk::note_access(std::uint64_t lba, std::size_t sectors, bool write) {
-  support::MutexLock g(stats_mu_);
-  if (lba != last_lba_) ++stats_.seeks;
-  last_lba_ = lba + sectors;
-  if (write) {
-    stats_.sectors_written += sectors;
-  } else {
-    stats_.sectors_read += sectors;
   }
 }
 
@@ -67,7 +56,6 @@ void MemDisk::read(std::uint64_t lba, std::span<std::byte> out) {
   }
   const std::size_t sectors = out.size() / kSectorSize;
   check_range(lba, sectors);
-  note_access(lba, sectors, /*write=*/false);
   std::memcpy(out.data(), image_.data() + lba * kSectorSize, out.size());
 }
 
@@ -77,7 +65,6 @@ void MemDisk::write(std::uint64_t lba, std::span<const std::byte> data) {
   }
   const std::size_t sectors = data.size() / kSectorSize;
   check_range(lba, sectors);
-  note_access(lba, sectors, /*write=*/true);
   std::memcpy(image_.data() + lba * kSectorSize, data.data(), data.size());
 }
 

@@ -2,21 +2,19 @@
 //
 // The NTFS driver writes real on-disk structures through this interface,
 // and the low-level MFT scanner reads them back independently — the same
-// bytes a raw-disk read would see on the paper's machines. I/O statistics
-// feed the machine timing model that reproduces the paper's scan-time
-// tables.
+// bytes a raw-disk read would see on the paper's machines. Per-scan I/O
+// statistics (CountingDevice) feed the machine timing model that
+// reproduces the paper's scan-time tables.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "support/status.h"
-#include "support/thread_annotations.h"
 
 namespace gb::disk {
 
@@ -45,39 +43,24 @@ class SectorDevice {
   std::uint64_t size_bytes() const { return sector_count() * kSectorSize; }
 };
 
-/// In-memory disk image with seek tracking.
+/// In-memory disk image.
 ///
 /// This object doubles as the "physical drive": the outside-the-box WinPE
 /// scan and the VM host-side scan both operate on the same image after
 /// the machine that owned it has shut down.
 ///
-/// Concurrent reads are safe (the access counters are mutex-guarded so
-/// parallel scans race-free); the stats() reference itself should only be
-/// inspected while no other thread is doing I/O. Scans that need
-/// deterministic per-scan accounting wrap the device in a CountingDevice
-/// instead of reading these shared counters.
+/// Concurrent reads share no mutable state and need no lock; a write
+/// must not overlap other I/O on the same sectors. The disk keeps no
+/// access counters: a scan that needs I/O accounting wraps it in its own
+/// CountingDevice.
 class MemDisk final : public SectorDevice {
  public:
   explicit MemDisk(std::uint64_t sector_count);
-  // The stats mutex is not movable; a moved disk starts with a fresh one.
-  // Off-analysis: the source must be quiescent (documented move contract),
-  // which Clang cannot see while its guarded counters are copied.
-  MemDisk(MemDisk&& other) noexcept GB_NO_THREAD_SAFETY_ANALYSIS
-      : sector_count_(other.sector_count_),
-        image_(std::move(other.image_)),
-        stats_(other.stats_),
-        last_lba_(other.last_lba_) {}
+  MemDisk(MemDisk&&) noexcept = default;
 
   std::uint64_t sector_count() const override { return sector_count_; }
   void read(std::uint64_t lba, std::span<std::byte> out) override;
   void write(std::uint64_t lba, std::span<const std::byte> data) override;
-
-  // Off-analysis: documented contract above — inspect only while no
-  // other thread is doing I/O on this disk.
-  IoStats& stats() GB_NO_THREAD_SAFETY_ANALYSIS { return stats_; }
-  const IoStats& stats() const GB_NO_THREAD_SAFETY_ANALYSIS {
-    return stats_;
-  }
 
   /// Full raw image view (for the byte-level scanners).
   std::span<const std::byte> image() const { return image_; }
@@ -97,14 +80,9 @@ class MemDisk final : public SectorDevice {
 
  private:
   void check_range(std::uint64_t lba, std::size_t sectors) const;
-  void note_access(std::uint64_t lba, std::size_t sectors, bool write);
 
   std::uint64_t sector_count_;
   std::vector<std::byte> image_;
-  support::Mutex stats_mu_;
-  IoStats stats_ GB_GUARDED_BY(stats_mu_);
-  /// For seek detection.
-  std::uint64_t last_lba_ GB_GUARDED_BY(stats_mu_) = ~0ull;
 };
 
 /// Pass-through device with private I/O accounting.

@@ -48,8 +48,9 @@ TEST(MemDisk, UnalignedSizeRejected) {
   EXPECT_THROW(d.write(0, partial), std::invalid_argument);
 }
 
-TEST(MemDisk, StatsCountSectorsAndSeeks) {
-  MemDisk d(64);
+TEST(CountingDevice, StatsCountSectorsAndSeeks) {
+  MemDisk disk(64);
+  CountingDevice d(disk);
   std::vector<std::byte> sector(kSectorSize);
   d.read(0, sector);   // seek 1
   d.read(1, sector);   // sequential: no new seek
@@ -59,8 +60,9 @@ TEST(MemDisk, StatsCountSectorsAndSeeks) {
   EXPECT_EQ(d.stats().sectors_written, 1u);
   EXPECT_EQ(d.stats().seeks, 2u);
   EXPECT_EQ(d.stats().bytes_read(), 3 * kSectorSize);
-  d.stats().reset();
-  EXPECT_EQ(d.stats().sectors_read, 0u);
+  IoStats stats = d.stats();
+  stats.reset();
+  EXPECT_EQ(stats.sectors_read, 0u);
 }
 
 TEST(MemDisk, ImageExposesRawBytes) {
