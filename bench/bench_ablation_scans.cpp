@@ -7,7 +7,6 @@
 //   * mechanism (hook) detector vs behaviour (cross-view) detector
 //     coverage of the full malware collection.
 #include <chrono>
-#include <regex>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -117,12 +116,7 @@ BENCHMARK(BM_InsideScanWorkers)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 /// Findings with the wall-clock noise removed, for the byte-identical
 /// comparison between the serial and parallel engines.
 std::string normalized_findings(const core::Report& report) {
-  std::string j = report.to_json();
-  j = std::regex_replace(j, std::regex("\"wall_seconds\":[0-9eE+.\\-]+"),
-                         "\"wall_seconds\":0");
-  j = std::regex_replace(j, std::regex("\"worker_threads\":[0-9]+"),
-                         "\"worker_threads\":0");
-  return j;
+  return core::normalize_report_json(report.to_json());
 }
 
 /// Runs the executor sweep; appends one JSON row per executor count to

@@ -63,7 +63,7 @@ void BM_FleetThroughputByWorkers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFleet);
 }
 BENCHMARK(BM_FleetThroughputByWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Scheduling overhead in isolation: empty-mask jobs (no scan work), so
 /// the measurement is submit + DRR dispatch + handle completion.

@@ -31,7 +31,8 @@ Checkpoint take_checkpoint(machine::Machine& m) {
 
   m.flush_registry();
   ntfs::MftScanner scanner(m.disk());
-  for (const auto& f : scanner.scan()) {
+  const auto files = scanner.scan();
+  for (const auto& f : files) {
     if (f.is_system) continue;
     Checkpoint::FileEntry e;
     e.size = f.size;
@@ -42,7 +43,7 @@ Checkpoint take_checkpoint(machine::Machine& m) {
     cp.files[fold_case("C:\\" + f.path)] = e;
   }
   for (const auto& mount : registry::standard_hive_mounts()) {
-    const auto rec = scanner.find(mount.backing_file);
+    const auto rec = ntfs::MftScanner::find_in(files, mount.backing_file);
     if (!rec) continue;
     const auto tree = hive::parse_hive(scanner.read_file_data(*rec));
     hash_registry_tree(tree, mount.mount, cp.registry);

@@ -10,10 +10,12 @@
 //
 // Registered trusted views per family:
 //
-//   files     live:    index (directory-index walk), mft (raw MFT scan)
+//   files     live:    index (directory-index walk), mft (raw MFT scan),
+//                      both over the scan's MFT image
 //             outside: disk  (WinPE clean-boot enumeration)
-//   aseps     live:    hive  (low-level hive parse)
-//             outside: hive  (hive files on the powered-off disk)
+//   aseps     live:    hive  (low-level hive parse, located in the image)
+//             outside: hive  (hive files on the powered-off disk, located
+//                      in the image that view builds of it)
 //   processes live:    active-list [, threads] [, carve]
 //             outside: threads (dump traversal), carve (signature sweep
 //                      of the raw dump bytes — works even when the dump
@@ -28,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -37,6 +40,7 @@
 #include "disk/disk.h"
 #include "kernel/dump.h"
 #include "machine/machine.h"
+#include "ntfs/snapshot.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
 
@@ -44,20 +48,24 @@ namespace gb::core {
 
 struct ScanConfig;                            // scan_engine.h
 enum class ResourceMask : std::uint32_t;      // scan_engine.h
-namespace internal {
-struct SessionState;                          // core/scan_session.h
-}
+struct CachedHiveParse;                       // core/registry_scans.h
 
 /// Everything a provider needs to run one view: the machine under scan,
 /// the pool for internal fan-out (null = run serially), the session
-/// configuration with the per-resource policies, and — on an incremental
-/// rescan — the session's snapshot store, which the file and ASEP low
-/// scans splice from instead of re-parsing the volume.
+/// configuration with the per-resource policies, and the scan's one
+/// parsed MFT image of the live volume, which every live view that reads
+/// the MFT reads instead of the volume.
 struct ScanTaskContext {
   machine::Machine& machine;
   support::ThreadPool* pool = nullptr;
   const ScanConfig& config;
-  internal::SessionState* session = nullptr;
+  /// The image — or why the volume does not parse — built by the engine
+  /// after the hive flush and before any task (a session's, refreshed
+  /// from the change journal). Null when no live view reads the MFT.
+  const support::StatusOr<ntfs::MftSnapshot>* mft = nullptr;
+  /// Digest-keyed hive parses the live hive view reuses and extends: a
+  /// session's, or null when nothing outlives the scan.
+  std::map<std::uint64_t, CachedHiveParse>* hives = nullptr;
 };
 
 /// Inputs available to the outside-the-box (clean environment) views:
@@ -96,6 +104,9 @@ class ResourceScanner {
     std::function<support::StatusOr<ScanResult>(const ScanTaskContext&,
                                                 const OutsideSources* src)>
         run;
+    /// Live views only: the view reads ScanTaskContext::mft, so the
+    /// engine builds the image before the phase's tasks start.
+    bool reads_mft = false;
   };
 
   virtual ~ResourceScanner() = default;

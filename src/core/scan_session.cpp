@@ -23,7 +23,11 @@ void VolumeSnapshotStore::serialize(ByteWriter& w) const {
   w.u64(journal_id);
   w.u64(cursor);
   w.u8(primed ? 1 : 0);
-  mft.serialize(w);
+  if (mft.ok()) {
+    mft->serialize(w);
+  } else {
+    ntfs::MftSnapshot{}.serialize(w);
+  }
   w.u32(static_cast<std::uint32_t>(hives.size()));
   for (const auto& [digest, parse] : hives) {
     w.u64(digest);
@@ -100,7 +104,8 @@ support::StatusOr<VolumeSnapshotStore> VolumeSnapshotStore::load(
   return deserialize(r);
 }
 
-void sync_session(machine::Machine& m, internal::SessionState& s) {
+void sync_session(machine::Machine& m, internal::SessionState& s,
+                  support::ThreadPool* pool, std::uint32_t batch_records) {
   const disk::ChangeJournal& journal = m.volume().journal();
   IncrementalStats stats;
   stats.journal_id = journal.journal_id();
@@ -112,6 +117,10 @@ void sync_session(machine::Machine& m, internal::SessionState& s) {
     // The volume was remounted (or the journal otherwise restarted): the
     // cursor belongs to a dead incarnation and vouches for nothing.
     fallback = "journal reset";
+  } else if (auto boot = ntfs::read_boot_sector(m.disk());
+             !boot.ok() || *boot != s.store.mft->boot()) {
+    // The MFT moved or no longer parses: a write no journal records.
+    fallback = "boot sector changed";
   } else {
     auto read = journal.read_since(s.store.cursor);
     if (!read.ok()) {
@@ -124,35 +133,33 @@ void sync_session(machine::Machine& m, internal::SessionState& s) {
       dirty.reserve(read->size());
       for (const auto& rec : *read) dirty.push_back(rec.record);
       ntfs::MftSnapshot::RefreshStats rs;
-      s.store.mft.refresh(m.disk(), dirty, &rs);
-      if (s.spec.verify_spliced && !s.store.mft.verify(m.disk()).empty()) {
+      ntfs::MftSnapshot& image = s.store.mft.value();
+      image.refresh(m.disk(), dirty, &rs);
+      if (s.spec.verify_spliced && !image.verify(m.disk()).empty()) {
         // An out-of-band write the journal never saw: distrust the whole
         // snapshot rather than guess which spliced entries are stale.
         fallback = "digest mismatch";
       } else {
         stats.incremental = true;
         stats.records_reparsed = rs.reparsed;
-        stats.records_spliced =
-            s.store.mft.record_capacity() - rs.reparsed;
+        stats.records_spliced = image.record_capacity() - rs.reparsed;
       }
     }
   }
 
   if (!stats.incremental) {
     stats.fallback_reason = fallback;
-    auto captured = ntfs::MftSnapshot::capture(m.disk());
-    if (captured.ok()) {
-      s.store.mft = std::move(captured.value());
+    s.store.mft = ntfs::MftSnapshot::capture(m.disk(), pool, batch_records);
+    if (s.store.mft.ok()) {
       s.store.primed = true;
-      stats.records_reparsed = s.store.mft.record_capacity();
+      stats.records_reparsed = s.store.mft->record_capacity();
       stats.records_spliced = 0;
     } else {
-      // Volume no longer parses. Un-prime the store so the low scans run
-      // their cold paths and report the corruption exactly as a
-      // session-less engine would.
+      // Volume no longer parses: the views report the image's Status,
+      // exactly as a cold scan does, and the next sync starts cold.
       s.store.primed = false;
       stats.fallback_reason +=
-          " (capture failed: " + captured.status().message() + ")";
+          " (capture failed: " + s.store.mft.status().message() + ")";
     }
   }
 
@@ -197,7 +204,7 @@ support::Status ScanSession::restore(const std::string& path) {
   // cheapest shape check, and a mismatched store could splice a foreign
   // listing into the report if its journal cursor happened to be
   // serveable here (test volumes share the default boot serial).
-  if (loaded->primed && loaded->mft.record_capacity() !=
+  if (loaded->primed && loaded->mft->record_capacity() !=
                             machine().volume().mft_record_capacity()) {
     return support::Status::corrupt("snapshot store is for another volume");
   }

@@ -1,43 +1,38 @@
 // Internals of the incremental ScanSession (public API: scan_engine.h).
 //
-// VolumeSnapshotStore is the persistent state a session carries between
-// scans: the content-addressed MFT snapshot, a content-addressed cache
-// of parsed hive payloads, and the change-journal cursor vouching for
-// them. sync_session() is the serial step at the head of every rescan
-// that brings the store up to date (journal replay or full-walk
-// fallback); the session-aware low scans in file_scans/registry_scans
-// then splice from it instead of re-parsing the volume.
+// VolumeSnapshotStore is the state a session carries between scans: the
+// volume's MFT image (ntfs/snapshot.h), a content-addressed cache of
+// parsed hive payloads, and the change-journal cursor vouching for them.
+// sync_session() is the serial step at the head of every inside or
+// injected scan that brings a store up to date — journal replay into the
+// image, or a full capture when the journal cannot vouch for it. A cold
+// scan is a sync from an empty store; a session rescan syncs the store
+// it kept. Either way the views then read the one image.
 //
-// This header is internal to gb_core (the engine, the spliced scans and
-// the tests include it); external callers see only ScanSession.
+// This header is internal to gb_core (the engine and the tests include
+// it); external callers see only ScanSession.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
+#include "core/registry_scans.h"
 #include "core/scan_engine.h"
-#include "hive/hive.h"
 #include "machine/machine.h"
 #include "ntfs/snapshot.h"
 #include "support/status.h"
+#include "support/thread_pool.h"
 
 namespace gb::core {
-
-/// One parsed hive payload, keyed in VolumeSnapshotStore::hives by the
-/// FNV-1a digest of the raw payload bytes. A hive flush that rewrites
-/// identical bytes (the common no-change case) re-uses the parse.
-struct CachedHiveParse {
-  std::string name;  // base-block hive name, kept for serialization
-  hive::Key tree;
-};
 
 /// Everything a session persists between scans. Content-addressed: MFT
 /// slots and hive parses are keyed by digests of the raw bytes they were
 /// parsed from, so splicing is valid exactly when the bytes match.
 struct VolumeSnapshotStore {
-  ntfs::MftSnapshot mft;
-  std::map<std::uint64_t, CachedHiveParse> hives;
+  /// The MFT image as of the last sync, or why that sync could not build
+  /// one (a volume that does not parse). Empty in a fresh store.
+  support::StatusOr<ntfs::MftSnapshot> mft;
+  HiveParseCache hives;
 
   /// Journal incarnation + cursor as of the last sync. Valid only while
   /// `primed` — a fresh store scans cold.
@@ -66,11 +61,16 @@ struct SessionState {
 }  // namespace internal
 
 /// Brings `s.store` up to date with the machine's volume, preferring the
-/// journal-guided partial refresh and falling back to a full capture when
-/// the journal cannot vouch for the snapshot (cold start, journal
+/// journal-guided refresh and falling back to a full capture — one
+/// chunked pass over the MFT on `pool`, in batches of `batch_records` —
+/// when the journal cannot vouch for the image (cold start, journal
 /// reset/wrap, digest mismatch under verify_spliced). Fills `s.last`.
-/// Runs serially — the engine calls it after the hive flush and before
-/// any scan task, so the store never changes mid-scan.
-void sync_session(machine::Machine& m, internal::SessionState& s);
+/// Never throws: a volume that does not parse leaves the store unprimed
+/// with the parse's Status as its image. The engine calls it after the
+/// hive flush and before any scan task, so the image never changes
+/// mid-scan.
+void sync_session(machine::Machine& m, internal::SessionState& s,
+                  support::ThreadPool* pool = nullptr,
+                  std::uint32_t batch_records = 0);
 
 }  // namespace gb::core

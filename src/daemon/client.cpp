@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <regex>
 #include <utility>
 
 #include "daemon/wire.h"
@@ -460,14 +459,7 @@ std::vector<obs::TraceEvent> merge_trace_events(
 }
 
 std::string normalized_report_json(std::string_view report_json) {
-  std::string j(report_json);
-  j = std::regex_replace(j, std::regex("\"wall_seconds\":[0-9eE+.\\-]+"),
-                         "\"wall_seconds\":0");
-  j = std::regex_replace(j, std::regex("\"queue_seconds\":[0-9eE+.\\-]+"),
-                         "\"queue_seconds\":0");
-  j = std::regex_replace(j, std::regex("\"worker_threads\":[0-9]+"),
-                         "\"worker_threads\":0");
-  return j;
+  return core::normalize_report_json(report_json);
 }
 
 }  // namespace gb::client

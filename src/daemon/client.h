@@ -201,7 +201,7 @@ class DaemonClient final : public Client {
 /// queue_seconds, worker_threads) normalized to 0 — the projection in
 /// which reports are byte-identical across worker counts, restarts and
 /// journal replays. What the kill-and-restart tests and bench_daemon
-/// compare.
+/// compare; core::normalize_report_json under the client's name.
 [[nodiscard]] std::string normalized_report_json(std::string_view report_json);
 
 }  // namespace gb::client

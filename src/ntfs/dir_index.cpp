@@ -17,7 +17,9 @@ std::vector<std::byte> encode_index_entries(
 std::vector<IndexEntry> decode_index_entries(
     std::span<const std::byte> blob) {
   ByteReader r(blob);
-  const std::uint32_t count = r.u32();
+  // Each entry is at least a record number and a name length.
+  const std::uint32_t count = r.count(sizeof(std::uint64_t) +
+                                      sizeof(std::uint16_t));
   std::vector<IndexEntry> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -2,8 +2,6 @@
 // the scanners must survive (a forensic tool meets damaged state).
 #include <gtest/gtest.h>
 
-#include <regex>
-
 #include "core/file_scans.h"
 #include "core/registry_scans.h"
 #include "core/scan_engine.h"
@@ -195,11 +193,7 @@ TEST(FailureInjection, TornHiveDegradesRegistryDiffOnly) {
     EXPECT_NE(report.to_string().find("PARTIAL"), std::string::npos);
 
     // Degraded reports obey the same determinism contract.
-    std::string j = report.to_json();
-    j = std::regex_replace(j, std::regex(R"(\"wall_seconds\":[0-9eE+.\-]+)"),
-                           "\"wall_seconds\":0");
-    j = std::regex_replace(j, std::regex(R"(\"worker_threads\":[0-9]+)"),
-                           "\"worker_threads\":0");
+    const std::string j = core::normalize_report_json(report.to_json());
     if (baseline.empty()) {
       baseline = j;
     } else {

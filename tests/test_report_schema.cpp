@@ -7,7 +7,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
-#include <regex>
 #include <sstream>
 
 #include "core/scan_engine.h"
@@ -21,12 +20,8 @@ namespace {
 
 /// Zeroes the wall-clock fields — the only nondeterministic bytes in a
 /// report — exactly as the determinism suite does.
-std::string normalize(std::string j) {
-  j = std::regex_replace(j, std::regex(R"(\"wall_seconds\":[0-9eE+.\-]+)"),
-                         "\"wall_seconds\":0");
-  j = std::regex_replace(j, std::regex(R"(\"worker_threads\":[0-9]+)"),
-                         "\"worker_threads\":0");
-  return j;
+std::string normalize(const std::string& j) {
+  return core::normalize_report_json(j);
 }
 
 std::string golden_path(const std::string& name = "report_v2_5.json") {

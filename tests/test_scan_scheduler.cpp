@@ -8,7 +8,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <regex>
 #include <thread>
 #include <vector>
 
@@ -31,14 +30,7 @@ machine::MachineConfig tiny_config(std::uint64_t seed = 1) {
 }
 
 std::string normalized(const Report& r) {
-  std::string j = r.to_json();
-  j = std::regex_replace(j, std::regex(R"("wall_seconds":[0-9eE+.\-]+)"),
-                         "\"wall_seconds\":0");
-  j = std::regex_replace(j, std::regex(R"("worker_threads":[0-9]+)"),
-                         "\"worker_threads\":0");
-  j = std::regex_replace(j, std::regex(R"("queue_seconds":[0-9eE+.\-]+)"),
-                         "\"queue_seconds\":0");
-  return j;
+  return core::normalize_report_json(r.to_json());
 }
 
 /// Appends each dispatched job's tenant to `order` (mutex-guarded) via
