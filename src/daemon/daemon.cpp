@@ -43,7 +43,9 @@ struct Daemon::JobRecord {
   std::uint64_t id = 0;
   JobRequest request;
   std::uint32_t shard = 0;
-  /// Invalid for jobs served straight from the journal's result store.
+  /// Valid while the job is queued or running on a shard; released once
+  /// the job is done, and never set for jobs served straight from the
+  /// journal's result store.
   core::ScanJob handle;
   /// A journal record already decided this job's terminal outcome (a
   /// kCancel written by cancel_job, or the kComplete written here).
@@ -303,6 +305,9 @@ void Daemon::finish_locked(JobRecord& rec, const support::Status& status,
   rec.done = true;
   rec.result_status = status;
   rec.report_json = std::move(report_json);
+  // The record now holds the outcome; the handle would pin the
+  // scheduler's copy of the structured report for the daemon's lifetime.
+  rec.handle = core::ScanJob{};
   counters_.completed += 1;
   if (status.code() == support::StatusCode::kCancelled) {
     counters_.cancelled += 1;
