@@ -121,7 +121,8 @@ void print_table(const std::string& json_path) {
   }
   std::printf(
       "\n(cold = one MFT image build + hive parse; rescan = journal replay"
-      "\n + content-addressed splice. Low churn is the fleet's steady state.)\n");
+      "\n + digest-checked splice + hive parse. Low churn is the fleet's"
+      "\n steady state.)\n");
 
   if (!json_path.empty()) {
     const std::string payload =

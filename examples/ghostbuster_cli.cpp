@@ -35,7 +35,7 @@
 //
 //   --rescan N (inside mode) scans through an incremental ScanSession:
 //   the first scan primes the snapshot store, then N re-scans splice
-//   unchanged MFT records and hive parses from it, narrating each sync's
+//   unchanged MFT records from it, narrating each sync's
 //   journal/splice provenance on stderr. The final report goes to
 //   stdout/--json exactly as a plain scan's would.
 //

@@ -61,8 +61,7 @@ support::StatusOr<ScanResult> high_level_file_scan(machine::Machine& m,
   return out;
 }
 
-ScanResult low_level_file_scan(const ntfs::MftSnapshot& image,
-                               std::uint32_t batch_records) {
+ScanResult low_level_file_scan(const ntfs::MftSnapshot& image) {
   ScanResult out;
   out.view_name = "raw MFT scan";
   out.type = ResourceType::kFile;
@@ -75,7 +74,7 @@ ScanResult low_level_file_scan(const ntfs::MftSnapshot& image,
   }
   // The walk visits every record slot, used or not: charge them all.
   out.work.records_visited = image.record_capacity();
-  const disk::IoStats io = image.simulate_scan_io(batch_records);
+  const disk::IoStats io = image.simulate_scan_io();
   out.work.bytes_read = io.bytes_read();
   out.work.seeks = io.seeks;
   out.normalize();
@@ -83,15 +82,13 @@ ScanResult low_level_file_scan(const ntfs::MftSnapshot& image,
 }
 
 support::StatusOr<ScanResult> low_level_file_scan(machine::Machine& m,
-                                                  support::ThreadPool* pool,
-                                                  std::uint32_t batch_records) {
-  auto image = ntfs::MftSnapshot::capture(m.disk(), pool, batch_records);
+                                                  support::ThreadPool* pool) {
+  auto image = ntfs::MftSnapshot::capture(m.disk(), pool);
   if (!image.ok()) return image.status();
-  return low_level_file_scan(*image, batch_records);
+  return low_level_file_scan(*image);
 }
 
-support::StatusOr<ScanResult> index_file_scan(const ntfs::MftSnapshot& image,
-                                              std::uint32_t batch_records) {
+support::StatusOr<ScanResult> index_file_scan(const ntfs::MftSnapshot& image) {
   ScanResult out;
   out.view_name = "raw directory-index walk";
   out.type = ResourceType::kFile;
@@ -122,7 +119,7 @@ support::StatusOr<ScanResult> index_file_scan(const ntfs::MftSnapshot& image,
     out.resources.push_back(Resource{file_key(full), printable(full)});
   }
   out.work.records_visited = 2ull * image.record_capacity();
-  const disk::IoStats io = image.simulate_scan_io(batch_records);
+  const disk::IoStats io = image.simulate_scan_io();
   out.work.bytes_read = io.bytes_read();
   out.work.seeks = io.seeks;
   out.normalize();

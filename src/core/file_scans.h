@@ -41,16 +41,14 @@ namespace gb::core {
 
 /// The raw MFT view: the image's listing, NTFS metadata files excluded
 /// (as the real tool must exclude $-files), charged one raw walk of
-/// every record slot at `batch_records` (0 = scanner default). Bypasses
-/// the entire API stack, filter drivers included.
-[[nodiscard]] ScanResult low_level_file_scan(const ntfs::MftSnapshot& image,
-                                             std::uint32_t batch_records = 0);
+/// every record slot. Bypasses the entire API stack, filter drivers
+/// included.
+[[nodiscard]] ScanResult low_level_file_scan(const ntfs::MftSnapshot& image);
 
 /// Standalone raw MFT scan of the running machine's disk: builds the
 /// image (on `pool` when given), then the view above.
 [[nodiscard]] support::StatusOr<ScanResult> low_level_file_scan(
-    machine::Machine& m, support::ThreadPool* pool = nullptr,
-    std::uint32_t batch_records = 0);
+    machine::Machine& m, support::ThreadPool* pool = nullptr);
 
 /// The directory-index view: what a raw walk of the on-disk directory
 /// indexes ($I30 equivalents) can reach. A live MFT record whose parent
@@ -61,7 +59,7 @@ namespace gb::core {
 /// directory's index blob does not read or decode. Charged two record
 /// passes (index collection and the listing walk).
 [[nodiscard]] support::StatusOr<ScanResult> index_file_scan(
-    const ntfs::MftSnapshot& image, std::uint32_t batch_records = 0);
+    const ntfs::MftSnapshot& image);
 
 /// Clean-boot scan of a (typically powered-off) disk: fresh volume mount,
 /// full native enumeration — no ghostware code is running.

@@ -78,9 +78,8 @@ support::StatusOr<ScanResult> dump_process_scan(
 
 support::StatusOr<ScanResult> carve_process_scan(
     std::span<const std::byte> dump_bytes, bool live,
-    support::ThreadPool* pool, std::uint32_t chunk_bytes,
-    obs::MetricsRegistry* metrics) {
-  auto carved = kernel::carve_dump(dump_bytes, pool, chunk_bytes);
+    support::ThreadPool* pool, obs::MetricsRegistry* metrics) {
+  auto carved = kernel::carve_dump(dump_bytes, pool);
   if (metrics != nullptr) {
     metrics->counter("gb_carve_runs_total", {{"mode", live ? "live" : "dump"}})
         .inc();

@@ -41,12 +41,13 @@ namespace gb::core {
 /// surface. `live` selects the live-memory flavor (inside scans carve a
 /// serialization of current kernel memory, a truth approximation) vs.
 /// the crash-dump flavor (outside scans carve the captured image — the
-/// truth view). An image too damaged to sweep is a kCorrupt Status.
-/// When `metrics` is non-null, gb_carve_* counters record the sweep;
-/// the registry never feeds back into report bytes.
+/// truth view). The sweep runs in the kernel's default chunks. An image
+/// too damaged to sweep is a kCorrupt Status. When `metrics` is
+/// non-null, gb_carve_* counters record the sweep; the registry never
+/// feeds back into report bytes.
 [[nodiscard]] support::StatusOr<ScanResult> carve_process_scan(
     std::span<const std::byte> dump_bytes, bool live,
-    support::ThreadPool* pool = nullptr, std::uint32_t chunk_bytes = 0,
+    support::ThreadPool* pool = nullptr,
     obs::MetricsRegistry* metrics = nullptr);
 
 [[nodiscard]] support::StatusOr<ScanResult> high_level_module_scan(

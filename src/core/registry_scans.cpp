@@ -2,10 +2,10 @@
 
 #include <functional>
 
+#include "hive/hive.h"
 #include "ntfs/mft_scanner.h"
 #include "obs/trace.h"
 #include "registry/aseps.h"
-#include "support/checksum.h"
 #include "support/strings.h"
 
 namespace gb::core {
@@ -73,14 +73,13 @@ void extract_asep_hooks(const AsepFetchers& f, ScanResult& out) {
 
 /// Loads the standard hives from raw disk bytes into an offline registry,
 /// in standard-mount order. The backing files resolve against the
-/// image's listing, so no hive costs another MFT walk. Every payload is
-/// read through the device even when `cache` holds its parse: the work
-/// accounting must match a cold reader's. One unparseable hive fails the
-/// whole view with kCorrupt: a partial ASEP catalogue would silently
-/// miss hooks, which is worse than an honest degraded diff.
+/// image's listing, so no hive costs another MFT walk. One unparseable
+/// hive fails the whole view with kCorrupt: a partial ASEP catalogue
+/// would silently miss hooks, which is worse than an honest degraded
+/// diff.
 support::StatusOr<registry::ConfigurationManager> load_offline_registry(
     disk::SectorDevice& dev, const ntfs::MftSnapshot& image,
-    machine::ScanWork& work, HiveParseCache* cache) {
+    machine::ScanWork& work) {
   registry::ConfigurationManager offline;
   for (const auto& mount : registry::standard_hive_mounts()) {
     const auto record =
@@ -92,17 +91,7 @@ support::StatusOr<registry::ConfigurationManager> load_offline_registry(
     try {
       const auto bytes = image.read_data(dev, *record, work.seeks);
       work.bytes_read += bytes.size();
-      const std::uint64_t digest = cache ? support::fnv1a(bytes) : 0;
-      if (cache && cache->contains(digest)) {
-        span.arg("cached", "1");
-        tree = cache->at(digest).tree;
-      } else {
-        tree = hive::parse_hive_or(bytes);
-        if (cache && tree.ok()) {
-          cache->insert_or_assign(
-              digest, CachedHiveParse{hive::hive_name(bytes), *tree});
-        }
-      }
+      tree = hive::parse_hive_or(bytes);
     } catch (const std::exception& e) {  // hostile record or run list
       tree = support::Status::corrupt(e.what());
     }
@@ -160,8 +149,7 @@ support::StatusOr<ScanResult> high_level_registry_scan(
 }
 
 support::StatusOr<ScanResult> low_level_registry_scan(
-    disk::SectorDevice& dev, const ntfs::MftSnapshot& image,
-    HiveParseCache* cache) {
+    disk::SectorDevice& dev, const ntfs::MftSnapshot& image) {
   ScanResult out;
   out.view_name = "raw hive parse";
   out.type = ResourceType::kAsepHook;
@@ -170,12 +158,12 @@ support::StatusOr<ScanResult> low_level_registry_scan(
   // The flush that made the backing files current is why this is a
   // truth *approximation*: privileged ghostware could in principle
   // tamper with the copy path.
-  auto offline = load_offline_registry(dev, image, out.work, cache);
+  auto offline = load_offline_registry(dev, image, out.work);
   if (!offline.ok()) return offline.status();
   extract_asep_hooks(offline_fetchers(*offline), out);
   // The backing-file lookup is charged as the raw walk that locates
-  // them, at the default batch size.
-  out.work.seeks += image.simulate_scan_io(0).seeks;
+  // them.
+  out.work.seeks += image.simulate_scan_io().seeks;
   out.normalize();
   return out;
 }
@@ -186,7 +174,7 @@ support::StatusOr<ScanResult> low_level_registry_scan(machine::Machine& m,
   if (flush_hives) m.flush_registry();
   auto image = ntfs::MftSnapshot::capture(m.disk(), pool);
   if (!image.ok()) return image.status();
-  return low_level_registry_scan(m.disk(), *image, nullptr);
+  return low_level_registry_scan(m.disk(), *image);
 }
 
 support::StatusOr<ScanResult> outside_registry_scan(
@@ -198,7 +186,7 @@ support::StatusOr<ScanResult> outside_registry_scan(
 
   auto image = ntfs::MftSnapshot::capture(dev, pool);
   if (!image.ok()) return image.status();
-  auto offline = load_offline_registry(dev, *image, out.work, nullptr);
+  auto offline = load_offline_registry(dev, *image, out.work);
   if (!offline.ok()) return offline.status();
   extract_asep_hooks(offline_fetchers(*offline), out);
   out.normalize();

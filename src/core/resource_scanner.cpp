@@ -52,7 +52,7 @@ class FileScanner final : public ResourceScanner {
   }
 
   std::vector<ViewDef> trusted_views(ScanPhase phase,
-                                     const ScanConfig& cfg) const override {
+                                     const ScanConfig&) const override {
     if (phase == ScanPhase::kOutside) {
       // The clean-boot view stays enumeration-based on purpose: it
       // models what a WinPE boot can see, so index-unlinked files stay
@@ -62,17 +62,16 @@ class FileScanner final : public ResourceScanner {
                         return outside_file_scan(src->disk);
                       }}};
     }
-    const std::uint32_t batch = cfg.files.mft_batch_records;
     return {ViewDef{"index", TrustLevel::kTruthApproximation, false,
-                    over_image([batch](const ScanTaskContext&,
-                                       const ntfs::MftSnapshot& image) {
-                      return index_file_scan(image, batch);
+                    over_image([](const ScanTaskContext&,
+                                  const ntfs::MftSnapshot& image) {
+                      return index_file_scan(image);
                     }),
                     true},
             ViewDef{"mft", TrustLevel::kTruthApproximation, false,
-                    over_image([batch](const ScanTaskContext&,
-                                       const ntfs::MftSnapshot& image) {
-                      return low_level_file_scan(image, batch);
+                    over_image([](const ScanTaskContext&,
+                                  const ntfs::MftSnapshot& image) {
+                      return low_level_file_scan(image);
                     }),
                     true}};
   }
@@ -100,8 +99,7 @@ class AsepScanner final : public ResourceScanner {
     return {ViewDef{"hive", TrustLevel::kTruthApproximation, false,
                     over_image([](const ScanTaskContext& t,
                                   const ntfs::MftSnapshot& image) {
-                      return low_level_registry_scan(t.machine.disk(), image,
-                                                     t.hives);
+                      return low_level_registry_scan(t.machine.disk(), image);
                     }),
                     true}};
   }
@@ -118,7 +116,6 @@ class ProcessScanner final : public ResourceScanner {
 
   std::vector<ViewDef> trusted_views(ScanPhase phase,
                                      const ScanConfig& cfg) const override {
-    const std::uint32_t chunk = cfg.processes.carve_chunk_bytes;
     std::vector<ViewDef> views;
     if (phase == ScanPhase::kOutside) {
       views.push_back(
@@ -136,14 +133,13 @@ class ProcessScanner final : public ResourceScanner {
         // the bytes this sweep reads.
         views.push_back(ViewDef{
             "carve", TrustLevel::kTruth, true,
-            [chunk](const ScanTaskContext& t, const OutsideSources* src) {
+            [](const ScanTaskContext& t, const OutsideSources* src) {
               if (src->dump_bytes.empty()) {
                 return support::StatusOr<ScanResult>(
                     missing_dump(*src, "nothing to carve"));
               }
               return carve_process_scan(src->dump_bytes, /*live=*/false,
-                                        t.pool, chunk,
-                                        carve_registry(t.config));
+                                        t.pool, carve_registry(t.config));
             }});
       }
       return views;
@@ -163,11 +159,11 @@ class ProcessScanner final : public ResourceScanner {
     if (cfg.processes.carve == CarveMode::kOn) {
       views.push_back(ViewDef{
           "carve", TrustLevel::kTruthApproximation, false,
-          [chunk](const ScanTaskContext& t, const OutsideSources*) {
+          [](const ScanTaskContext& t, const OutsideSources*) {
             // Live-memory sweep: serialize the kernel's memory image
             // directly (no blue screen, no scrubber hooks run).
             const auto image = kernel::write_dump(t.machine.kernel());
-            return carve_process_scan(image, /*live=*/true, t.pool, chunk,
+            return carve_process_scan(image, /*live=*/true, t.pool,
                                       carve_registry(t.config));
           }});
     }

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,7 +47,6 @@ namespace gb::core {
 
 struct ScanConfig;                            // scan_engine.h
 enum class ResourceMask : std::uint32_t;      // scan_engine.h
-struct CachedHiveParse;                       // core/registry_scans.h
 
 /// Everything a provider needs to run one view: the machine under scan,
 /// the pool for internal fan-out (null = run serially), the session
@@ -63,9 +61,6 @@ struct ScanTaskContext {
   /// after the hive flush and before any task (a session's, refreshed
   /// from the change journal). Null when no live view reads the MFT.
   const support::StatusOr<ntfs::MftSnapshot>* mft = nullptr;
-  /// Digest-keyed hive parses the live hive view reuses and extends: a
-  /// session's, or null when nothing outlives the scan.
-  std::map<std::uint64_t, CachedHiveParse>* hives = nullptr;
 };
 
 /// Inputs available to the outside-the-box (clean environment) views:

@@ -544,9 +544,8 @@ ScanTaskContext ScanEngine::live_context(
   internal::SessionState* state = session;
   if (state == nullptr && reads_mft) state = &cold.emplace();
   if (state == nullptr) return tctx;
-  sync_session(machine_, *state, &pool_, cfg_.files.mft_batch_records);
+  sync_session(machine_, *state, &pool_);
   tctx.mft = &state->store.mft;
-  if (session != nullptr) tctx.hives = &session->store.hives;
   return tctx;
 }
 

@@ -103,13 +103,6 @@ constexpr ResourceMask mask_for(ResourceType type) {
 
 // --- per-resource policies -------------------------------------------------
 
-struct FilePolicy {
-  /// Records per MFT parse batch (0 = MftScanner::kDefaultScanBatch).
-  /// Batch boundaries are part of the deterministic contract: they never
-  /// depend on the worker count.
-  std::uint32_t mft_batch_records = 0;
-};
-
 struct RegistryPolicy {
   /// Flush the live hives to their backing files before the low-level
   /// scan re-parses them. The engine performs the flush serially, before
@@ -137,21 +130,18 @@ struct ProcessPolicy {
   bool scheduler_view = false;
   /// Signature-carving view registration (--carve / --no-carve).
   CarveMode carve = CarveMode::kOutsideOnly;
-  /// Carve sweep chunk granularity in bytes (0 = kernel default).
-  /// Chunk boundaries depend only on this value, never on workers.
-  std::uint32_t carve_chunk_bytes = 0;
 };
 
-/// Typed scan-session configuration. (Diff sharding is no longer
-/// configurable: the differ picks its shard count from one shared cost
-/// model — see ShardPlan in core/differ.h.)
+/// Typed scan-session configuration. Work granularity is not
+/// configurable: MFT batches (ntfs::kScanBatchRecords) and carve chunks
+/// (the kernel's default) are fixed, and diff shards come from one cost
+/// model (ShardPlan in core/differ.h) — none from the worker count.
 struct ScanConfig {
   ResourceMask resources = ResourceMask::kAll;
   /// Concurrent executors (pool workers + the calling thread). 1 runs
   /// everything inline on the caller — the serial reference path.
   /// 0 picks one executor per hardware core.
   std::size_t parallelism = 0;
-  FilePolicy files;
   RegistryPolicy registry;
   ProcessPolicy processes;
   /// Image whose process context runs the high-level scans. Spawned from
@@ -250,8 +240,8 @@ struct JobSpec {
 /// "incremental" block (schema v2.4) and queryable via
 /// ScanSession::last_sync(). Counts describe MFT record *slots*:
 /// `records_reparsed` were freshly read-and-parsed this sync (on a
-/// fallback, that is every slot); `records_spliced` were served from the
-/// snapshot or its content-addressed digest cache without a parse.
+/// fallback, that is every slot); `records_spliced` are the rest, kept
+/// from the session's image without a parse.
 struct IncrementalStats {
   /// False on the first scan of a session and whenever a fallback forced
   /// a full walk.
@@ -371,14 +361,16 @@ struct InsideCapture {
 
 /// Spec for ScanEngine::open_session().
 struct SessionSpec {
-  /// Paranoia mode: before splicing cached entries, re-digest every MFT
-  /// record, re-read every directory index blob that lies outside its
-  /// record, and fall back to a full walk if any diverged from the
-  /// snapshot (an out-of-band write the journal never saw). Costs a full
-  /// re-read per rescan — it trades away most of the parse savings to
-  /// buy tamper evidence. A default session trusts the journal for both:
+  /// Paranoia mode: before splicing, re-read and re-parse every MFT
+  /// record and every directory index blob, and fall back to a full walk
+  /// if any slot differs from what the image holds — an out-of-band write
+  /// the journal never saw, or a restored store whose parses do not match
+  /// the bytes their digests name. Costs a full walk's reads and parses
+  /// per rescan: it trades the parse savings for tamper evidence. A
+  /// default session trusts a restored store as it trusts the journal:
   /// record bytes and index blobs written behind the volume driver's
-  /// back reach its reports only at the next full walk.
+  /// back, and slots forged in a saved store, reach its reports only at
+  /// the next full walk.
   bool verify_spliced = false;
 };
 
@@ -386,8 +378,9 @@ struct SessionSpec {
 /// the change-journal cursor between scans of one machine.
 ///
 /// rescan() consults the journal for what changed since the previous
-/// scan, re-parses only those MFT records, splices cached parses for the
-/// rest, and returns a Report that is byte-for-byte identical (modulo
+/// scan, re-parses only those MFT records, splices the image's parses for
+/// the rest, re-reads and re-parses every hive payload as a cold scan
+/// does, and returns a Report that is byte-for-byte identical (modulo
 /// wall-clock fields) to a cold ScanEngine inside scan of the same
 /// machine state — at O(changes) low-level cost instead of O(volume).
 /// When the journal cannot vouch for the snapshot (cold start, journal
@@ -416,9 +409,9 @@ class ScanSession {
   /// Provenance of the latest rescan()'s snapshot sync.
   [[nodiscard]] const IncrementalStats& last_sync() const;
 
-  /// Persists the snapshot store + journal cursor. A later session (same
-  /// machine, same mount) can restore() it and scan incrementally from
-  /// this point.
+  /// Persists the snapshot store: the MFT image and the journal cursor,
+  /// no hive parse. A later session (same machine, same mount) can
+  /// restore() it and scan incrementally from this point.
   [[nodiscard]] support::Status save(const std::string& path) const;
   /// Loads a snapshot store saved by save(). A snapshot from a different
   /// volume or schema version is rejected (kCorrupt) and the session is
@@ -488,8 +481,8 @@ class ScanEngine {
   /// The scan kinds, composed over the task runner in scan_engine.cpp;
   /// `job` supplies the cancel token and progress sink. With a session,
   /// run_inside syncs the session's image against the change journal
-  /// instead of building a fresh one, the hive view reuses the session's
-  /// hive parses, and the report gets its "incremental" block.
+  /// instead of building a fresh one, and the report gets its
+  /// "incremental" block.
   [[nodiscard]] support::StatusOr<Report> run_inside(
       const JobSpec& job, internal::SessionState* session = nullptr);
   [[nodiscard]] support::StatusOr<Report> run_injected(const JobSpec& job);

@@ -13,7 +13,7 @@ namespace gb::core {
 namespace {
 
 constexpr std::uint32_t kStoreMagic = 0x53534247;  // "GBSS"
-constexpr std::uint16_t kStoreVersion = 1;
+constexpr std::uint16_t kStoreVersion = 2;
 
 }  // namespace
 
@@ -27,18 +27,6 @@ void VolumeSnapshotStore::serialize(ByteWriter& w) const {
     mft->serialize(w);
   } else {
     ntfs::MftSnapshot{}.serialize(w);
-  }
-  w.u32(static_cast<std::uint32_t>(hives.size()));
-  for (const auto& [digest, parse] : hives) {
-    w.u64(digest);
-    w.u16(static_cast<std::uint16_t>(parse.name.size()));
-    w.str(parse.name);
-    // The tree round-trips through its own on-disk format: what we store
-    // is exactly what the digest was computed over (a re-serialization of
-    // the parse, which hive serialization keeps deterministic).
-    const auto bytes = hive::serialize_hive(parse.tree, parse.name);
-    w.u32(static_cast<std::uint32_t>(bytes.size()));
-    w.bytes(bytes);
   }
 }
 
@@ -59,17 +47,6 @@ support::StatusOr<VolumeSnapshotStore> VolumeSnapshotStore::deserialize(
     auto mft = ntfs::MftSnapshot::deserialize(r);
     if (!mft.ok()) return mft.status();
     store.mft = std::move(mft.value());
-    const std::uint32_t hive_count = r.u32();
-    for (std::uint32_t i = 0; i < hive_count; ++i) {
-      const std::uint64_t digest = r.u64();
-      CachedHiveParse parse;
-      parse.name = r.str(r.u16());
-      const auto bytes = r.bytes(r.u32());
-      auto tree = hive::parse_hive_or(bytes);
-      if (!tree.ok()) return tree.status();
-      parse.tree = std::move(tree.value());
-      store.hives.insert_or_assign(digest, std::move(parse));
-    }
     return store;
   } catch (const ParseError& e) {
     return support::Status::corrupt(std::string("truncated snapshot store: ") +
@@ -105,7 +82,7 @@ support::StatusOr<VolumeSnapshotStore> VolumeSnapshotStore::load(
 }
 
 void sync_session(machine::Machine& m, internal::SessionState& s,
-                  support::ThreadPool* pool, std::uint32_t batch_records) {
+                  support::ThreadPool* pool) {
   const disk::ChangeJournal& journal = m.volume().journal();
   IncrementalStats stats;
   stats.journal_id = journal.journal_id();
@@ -132,24 +109,24 @@ void sync_session(machine::Machine& m, internal::SessionState& s,
       std::vector<std::uint64_t> dirty;
       dirty.reserve(read->size());
       for (const auto& rec : *read) dirty.push_back(rec.record);
-      ntfs::MftSnapshot::RefreshStats rs;
       ntfs::MftSnapshot& image = s.store.mft.value();
-      image.refresh(m.disk(), dirty, &rs);
+      const std::uint64_t reparsed = image.refresh(m.disk(), dirty);
       if (s.spec.verify_spliced && !image.verify(m.disk()).empty()) {
-        // An out-of-band write the journal never saw: distrust the whole
+        // An out-of-band write the journal never saw, or a restored slot
+        // that does not re-parse to what it claims: distrust the whole
         // snapshot rather than guess which spliced entries are stale.
         fallback = "digest mismatch";
       } else {
         stats.incremental = true;
-        stats.records_reparsed = rs.reparsed;
-        stats.records_spliced = image.record_capacity() - rs.reparsed;
+        stats.records_reparsed = reparsed;
+        stats.records_spliced = image.record_capacity() - reparsed;
       }
     }
   }
 
   if (!stats.incremental) {
     stats.fallback_reason = fallback;
-    s.store.mft = ntfs::MftSnapshot::capture(m.disk(), pool, batch_records);
+    s.store.mft = ntfs::MftSnapshot::capture(m.disk(), pool);
     if (s.store.mft.ok()) {
       s.store.primed = true;
       stats.records_reparsed = s.store.mft->record_capacity();

@@ -1,8 +1,9 @@
 // Internals of the incremental ScanSession (public API: scan_engine.h).
 //
 // VolumeSnapshotStore is the state a session carries between scans: the
-// volume's MFT image (ntfs/snapshot.h), a content-addressed cache of
-// parsed hive payloads, and the change-journal cursor vouching for them.
+// volume's MFT image (ntfs/snapshot.h) and the change-journal cursor
+// vouching for it. Nothing else outlives a scan: the hive view reads and
+// parses every payload on every scan, as a cold scan does.
 // sync_session() is the serial step at the head of every inside or
 // injected scan that brings a store up to date — journal replay into the
 // image, or a full capture when the journal cannot vouch for it. A cold
@@ -16,7 +17,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/registry_scans.h"
 #include "core/scan_engine.h"
 #include "machine/machine.h"
 #include "ntfs/snapshot.h"
@@ -25,14 +25,14 @@
 
 namespace gb::core {
 
-/// Everything a session persists between scans. Content-addressed: MFT
-/// slots and hive parses are keyed by digests of the raw bytes they were
-/// parsed from, so splicing is valid exactly when the bytes match.
+/// Everything a session persists between scans. Each MFT slot carries
+/// the digest of the raw bytes it was parsed from, so splicing is valid
+/// exactly when the bytes match. A loaded store is trusted as the
+/// journal is: only verify_spliced re-parses it against the device.
 struct VolumeSnapshotStore {
   /// The MFT image as of the last sync, or why that sync could not build
   /// one (a volume that does not parse). Empty in a fresh store.
   support::StatusOr<ntfs::MftSnapshot> mft;
-  HiveParseCache hives;
 
   /// Journal incarnation + cursor as of the last sync. Valid only while
   /// `primed` — a fresh store scans cold.
@@ -62,15 +62,14 @@ struct SessionState {
 
 /// Brings `s.store` up to date with the machine's volume, preferring the
 /// journal-guided refresh and falling back to a full capture — one
-/// chunked pass over the MFT on `pool`, in batches of `batch_records` —
-/// when the journal cannot vouch for the image (cold start, journal
-/// reset/wrap, digest mismatch under verify_spliced). Fills `s.last`.
+/// chunked pass over the MFT on `pool` — when the journal cannot vouch
+/// for the image (cold start, journal reset/wrap, a slot that does not
+/// re-parse to what the image holds under verify_spliced). Fills `s.last`.
 /// Never throws: a volume that does not parse leaves the store unprimed
 /// with the parse's Status as its image. The engine calls it after the
 /// hive flush and before any scan task, so the image never changes
 /// mid-scan.
 void sync_session(machine::Machine& m, internal::SessionState& s,
-                  support::ThreadPool* pool = nullptr,
-                  std::uint32_t batch_records = 0);
+                  support::ThreadPool* pool = nullptr);
 
 }  // namespace gb::core

@@ -86,9 +86,8 @@ std::vector<std::byte> read_attr_payload(disk::SectorDevice& dev,
   return out;
 }
 
-std::vector<RawFile> MftScanner::scan(support::ThreadPool* pool,
-                                      std::uint32_t batch_records) {
-  auto image = MftSnapshot::capture(dev_, pool, batch_records);
+std::vector<RawFile> MftScanner::scan(support::ThreadPool* pool) {
+  auto image = MftSnapshot::capture(dev_, pool);
   if (!image.ok()) throw ParseError(image.status().message());
   corrupt_records_ = image->corrupt_records();
   return image->listing();
@@ -96,7 +95,7 @@ std::vector<RawFile> MftScanner::scan(support::ThreadPool* pool,
 
 std::vector<RawFile> MftScanner::scan_deleted(support::ThreadPool* pool,
                                               std::uint32_t batch_records) {
-  if (batch_records == 0) batch_records = kDefaultScanBatch;
+  if (batch_records == 0) batch_records = kScanBatchRecords;
   if (boot_.mft_record_count <= kFirstUserRecord) return {};
   auto whole = obs::default_tracer().span("mft.scan_deleted", "parse");
 

@@ -46,7 +46,8 @@ struct RawFile {
 /// payload nor its run list is kept: a reader of the payload (the hive
 /// view) re-reads the record, as a cold reader would. A parsed record
 /// maps to its node deterministically, so two records with identical raw
-/// bytes always produce identical nodes (the content-addressing premise).
+/// bytes always produce identical nodes (what makes a digest match sound
+/// grounds for splicing).
 struct MftNode {
   std::string name;
   std::uint64_t parent = 0;
@@ -54,6 +55,8 @@ struct MftNode {
   std::uint32_t attributes = 0;
   std::vector<std::string> stream_names;
   std::uint64_t size = 0;  // the unnamed $DATA's byte size; 0 without one
+
+  bool operator==(const MftNode&) const = default;
 };
 
 /// Reduces a parsed record to its node; nullopt when the record carries
@@ -104,13 +107,8 @@ class MftScanner {
   /// Orphaned records (broken or cyclic parent chains) are reported
   /// under "<orphan>\". Records that fail to parse (disk corruption, torn
   /// writes) are skipped and counted — a forensic scanner must survive
-  /// them. Byte-identical at any worker count and batch size.
-  std::vector<RawFile> scan(support::ThreadPool* pool = nullptr,
-                            std::uint32_t batch_records = 0);
-
-  /// Default record-batch granularity of the image build; small enough
-  /// to balance across workers, large enough to amortize task overhead.
-  static constexpr std::uint32_t kDefaultScanBatch = 1024;
+  /// them. Byte-identical at any worker count.
+  std::vector<RawFile> scan(support::ThreadPool* pool = nullptr);
 
   /// Live-looking records that failed to parse during the last scan().
   std::size_t corrupt_records() const { return corrupt_records_; }
@@ -120,9 +118,9 @@ class MftScanner {
   /// Names are best-effort; parent paths may themselves be gone.
   ///
   /// The record space is processed in fixed-size batches (boundaries
-  /// depend only on batch_records) that run concurrently on a pool and
-  /// merge in record order, so the listing is byte-identical at any
-  /// worker count.
+  /// depend only on batch_records, 0 = kScanBatchRecords) that run
+  /// concurrently on a pool and merge in record order, so the listing is
+  /// byte-identical at any worker count.
   std::vector<RawFile> scan_deleted(support::ThreadPool* pool = nullptr,
                                     std::uint32_t batch_records = 0);
 

@@ -1,5 +1,7 @@
 #include "ntfs/runlist.h"
 
+#include <limits>
+
 namespace gb::ntfs {
 
 namespace {
@@ -71,6 +73,10 @@ RunList decode_runlist(ByteReader& in) {
     }
     const std::uint64_t length = get_le(in, len_w);
     const std::int64_t delta = sign_extend(get_le(in, off_w), off_w);
+    // prev_lcn is never negative, so only a positive delta can overflow.
+    if (delta > std::numeric_limits<std::int64_t>::max() - prev_lcn) {
+      throw ParseError("run list LCN overflow");
+    }
     const std::int64_t lcn = prev_lcn + delta;
     if (lcn < 0) throw ParseError("run list LCN underflow");
     runs.push_back(Run{static_cast<std::uint64_t>(lcn), length});

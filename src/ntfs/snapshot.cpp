@@ -51,16 +51,6 @@ void reread_index(disk::SectorDevice& dev, MftSlot& slot) {
   }
 }
 
-/// Whether a non-resident blob still lists what the slot holds. The blob
-/// lies outside the record, so the record's digest does not cover it.
-bool index_matches(disk::SectorDevice& dev, const MftSlot& slot) {
-  if (!slot.index || slot.index->blob.resident) return true;
-  MftIndex now{slot.index->blob, {}, {}};
-  read_children(dev, now);
-  return now.children == slot.index->children &&
-         now.error == slot.index->error;
-}
-
 /// Parses one live-looking record image into its slot.
 MftSlot classify(disk::SectorDevice& dev, std::span<const std::byte> image) {
   MftSlot s;
@@ -170,7 +160,7 @@ MftSlot read_slot(ByteReader& r) {
 support::StatusOr<MftSnapshot> MftSnapshot::capture(
     disk::SectorDevice& dev, support::ThreadPool* pool,
     std::uint32_t batch_records) {
-  if (batch_records == 0) batch_records = MftScanner::kDefaultScanBatch;
+  if (batch_records == 0) batch_records = kScanBatchRecords;
   try {
     auto boot = read_boot_sector(dev);
     if (!boot.ok()) return boot.status();
@@ -218,56 +208,31 @@ support::StatusOr<MftSnapshot> MftSnapshot::capture(
   }
 }
 
-void MftSnapshot::refresh(disk::SectorDevice& dev,
-                          const std::vector<std::uint64_t>& records,
-                          RefreshStats* stats) {
-  RefreshStats local;
-  RefreshStats& st = stats != nullptr ? *stats : local;
+std::uint64_t MftSnapshot::refresh(disk::SectorDevice& dev,
+                                   const std::vector<std::uint64_t>& records) {
+  std::uint64_t reparsed = 0;
   const std::set<std::uint64_t> unique(records.begin(), records.end());
-  // Splice only states this refresh or the one before it replaced:
-  // older ones are dropped, so churn cannot grow the image without bound.
-  std::map<std::uint64_t, MftSlot> earlier = std::exchange(seen_, {});
-  const auto take = [&](std::uint64_t digest) -> std::optional<MftSlot> {
-    for (auto* remembered : {&seen_, &earlier}) {
-      if (auto hit = remembered->find(digest); hit != remembered->end()) {
-        MftSlot slot = std::move(hit->second);
-        remembered->erase(hit);
-        return slot;
-      }
-    }
-    return std::nullopt;
-  };
   RecordImage image{};
   for (const std::uint64_t rec : unique) {
     if (rec >= record_capacity()) continue;
     dev.read(boot_.record_lba(rec), image);
     const bool live = MftRecord::looks_live(image);
-    const std::uint64_t digest = live ? support::fnv1a(image) : 0;
-    auto it = slots_.find(rec);
+    const auto it = slots_.find(rec);
     const bool held = it != slots_.end();
-    if (held == live && (!live || it->second.digest == digest)) {
+    if (held == live && (!live || it->second.digest == support::fnv1a(image))) {
+      // Same bytes, or free and still free.
       if (held) reread_index(dev, it->second);
-      ++st.unchanged;  // same bytes, or free and still free
       continue;
     }
-    if (held) {  // remember the replaced state's parse by its digest
-      seen_.insert_or_assign(it->second.digest, std::move(it->second));
+    if (live) {
+      slots_.insert_or_assign(rec, classify(dev, image));
+    } else {
       slots_.erase(it);
     }
-    if (!live) {
-      ++st.reparsed;
-    } else if (auto old = take(digest)) {
-      // Content seen before (e.g. a rename chain restored the original
-      // bytes): splice the remembered parse, no re-parse needed.
-      it = slots_.emplace(rec, std::move(*old)).first;
-      reread_index(dev, it->second);
-      ++st.cache_spliced;
-    } else {
-      slots_.emplace(rec, classify(dev, image));
-      ++st.reparsed;
-    }
+    ++reparsed;
   }
   assemble_listing();
+  return reparsed;
 }
 
 std::vector<std::uint64_t> MftSnapshot::verify(disk::SectorDevice& dev) const {
@@ -278,9 +243,9 @@ std::vector<std::uint64_t> MftSnapshot::verify(disk::SectorDevice& dev) const {
     dev.read(boot_.record_lba(i), image);
     const bool held = it != slots_.end() && it->first == i;
     const bool live = MftRecord::looks_live(image);
-    if (live != held ||
-        (held && (support::fnv1a(image) != it->second.digest ||
-                  !index_matches(dev, it->second)))) {
+    // A held slot is trusted only if the bytes classify to it again: a
+    // matching digest alone would vouch for a forged parse.
+    if (live != held || (held && classify(dev, image) != it->second)) {
       mismatched.push_back(i);
     }
     if (held) ++it;
@@ -359,12 +324,12 @@ support::Status MftSnapshot::index_status() const {
   return support::Status{};
 }
 
-disk::IoStats MftSnapshot::simulate_scan_io(std::uint32_t batch_records) const {
-  if (batch_records == 0) batch_records = MftScanner::kDefaultScanBatch;
+disk::IoStats MftSnapshot::simulate_scan_io() const {
   const std::uint64_t record_sectors = kMftRecordSize / kSectorSize;
   const std::uint64_t capacity = record_capacity();
   disk::IoStats io;
-  io.seeks = (capacity + batch_records - 1) / batch_records + slots_.size();
+  io.seeks =
+      (capacity + kScanBatchRecords - 1) / kScanBatchRecords + slots_.size();
   io.sectors_read = record_sectors * (capacity + slots_.size());
   return io;
 }

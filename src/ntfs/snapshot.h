@@ -14,18 +14,18 @@
 // from the blob and kept apart from the FILE_NAME parent refs, so the
 // index view stays its own evidence.
 //
-// Refresh re-reads only the records the journal dirtied. One whose new
-// bytes a recent refresh replaced (a rename chain A→B→A) splices the
-// remembered parse. A dirty directory re-reads a non-resident index blob even when
-// its record is unchanged: persist_index re-allocates the blob
-// first-fit, so the entries can change while the record stays
-// byte-identical. Byte identity with a cold capture follows (DESIGN.md
-// "Incremental scanning"): nodes and resident index children are pure
-// functions of the record bytes, non-resident children are re-read
-// whenever their directory is journaled, and every scan-visible record
-// write goes through the journaled NtfsVolume::store_record().
-// Out-of-band device writes bypass the journal; verify() detects them,
-// in a record or in a non-resident index blob.
+// Refresh re-reads only the records the journal dirtied and classifies
+// afresh each one whose digest changed. A dirty directory re-reads a
+// non-resident index blob even when its record is unchanged:
+// persist_index re-allocates the blob first-fit, so the entries can
+// change while the record stays byte-identical. Byte identity with a
+// cold capture follows (DESIGN.md "Incremental scanning"): nodes and
+// resident index children are pure functions of the record bytes,
+// non-resident children are re-read whenever their directory is
+// journaled, and every scan-visible record write goes through the
+// journaled NtfsVolume::store_record(). Out-of-band device writes bypass
+// the journal, and a restored image may not be what the device holds;
+// verify() re-parses every slot to detect both.
 //
 // Nothing here throws on hostile bytes: a record that does not parse is
 // a kCorrupt slot, an index blob that does not read or decode is an
@@ -54,6 +54,11 @@ enum class MftSlotKind : std::uint8_t {
   kLive = 3,     // parses into a listing node
 };
 
+/// Records per batch of the raw MFT walk: the image build's default and
+/// the batch the cost model charges (simulate_scan_io). Small enough to
+/// balance across workers, large enough to amortize task overhead.
+inline constexpr std::uint32_t kScanBatchRecords = 1024;
+
 /// A directory's $INDEX_ROOT as the image keeps it.
 struct MftIndex {
   /// The attribute: a non-resident blob's runs, so a dirty directory can
@@ -63,6 +68,8 @@ struct MftIndex {
   std::vector<std::uint64_t> children;
   /// Why the blob did not read or decode (children empty).
   std::string error;
+
+  bool operator==(const MftIndex&) const = default;
 };
 
 /// One live-looking record slot.
@@ -71,6 +78,8 @@ struct MftSlot {
   std::uint64_t digest = 0;       // FNV-1a 64 of the raw record image
   std::optional<MftNode> node;    // engaged iff kind == kLive
   std::optional<MftIndex> index;  // a parsed directory with an index
+
+  bool operator==(const MftSlot&) const = default;
 };
 
 class MftSnapshot {
@@ -78,7 +87,7 @@ class MftSnapshot {
   MftSnapshot() = default;
 
   /// Full walk: reads every record slot once, in fixed batches of
-  /// `batch_records` (0 = MftScanner::kDefaultScanBatch) that run on
+  /// `batch_records` (0 = kScanBatchRecords) that run on
   /// `pool` when given, and parses the live-looking ones. The image is
   /// identical at any worker count and batch size. kCorrupt if the boot
   /// sector does not parse; never throws on the volume's bytes.
@@ -86,26 +95,21 @@ class MftSnapshot {
       disk::SectorDevice& dev, support::ThreadPool* pool = nullptr,
       std::uint32_t batch_records = 0);
 
-  struct RefreshStats {
-    std::uint64_t reparsed = 0;       // classified afresh this refresh
-    std::uint64_t cache_spliced = 0;  // digest seen before; parse reused
-    std::uint64_t unchanged = 0;      // same digest, or free and still free
-  };
-
   /// Re-reads only `records` (deduplicated; out-of-range numbers are
-  /// ignored), splicing the remembered parse where the new bytes are a
-  /// state this refresh or the previous one replaced, and re-reading the
-  /// index blob of every dirty directory.
-  void refresh(disk::SectorDevice& dev,
-               const std::vector<std::uint64_t>& records,
-               RefreshStats* stats = nullptr);
+  /// ignored), classifying afresh each one whose digest changed, and
+  /// re-reads the index blob of every dirty directory. Returns how many
+  /// slots it classified afresh or freed.
+  std::uint64_t refresh(disk::SectorDevice& dev,
+                        const std::vector<std::uint64_t>& records);
 
-  /// Re-reads EVERY slot and every non-resident index blob, and returns
-  /// the record numbers whose device bytes no longer match the image —
-  /// writes the journal never saw. A live-looking slot matches by digest
-  /// and, for a directory whose blob lies outside its record, by the
-  /// children the blob lists; a free slot matches by still being free.
-  /// Empty means the image is exact. Does not mutate the image.
+  /// Re-reads EVERY slot and every index blob, and returns the record
+  /// numbers whose held slot is not what a cold capture would classify
+  /// from the device now: writes the journal never saw, or a restored
+  /// image whose parses do not match the bytes they claim. A
+  /// live-looking slot matches when it classifies afresh to the held
+  /// slot (digest, kind, node and index children alike); a free slot
+  /// matches by still being free. Empty means the image is exact. Does
+  /// not mutate the image.
   [[nodiscard]] std::vector<std::uint64_t> verify(
       disk::SectorDevice& dev) const;
 
@@ -127,14 +131,13 @@ class MftSnapshot {
   /// index blob did not read or decode.
   [[nodiscard]] support::Status index_status() const;
 
-  /// The IoStats of the raw walk the paper's scanner makes at
-  /// `batch_records` (0 = default), which views charge as their simulated
-  /// work: per batch a probe of every slot (the first one a seek), and a
-  /// second 2-sector read (a seek) of every live-looking slot — so
+  /// The IoStats of the raw walk the paper's scanner makes in batches of
+  /// kScanBatchRecords, which views charge as their simulated work: per
+  /// batch a probe of every slot (the first one a seek), and a second
+  /// 2-sector read (a seek) of every live-looking slot — so
   ///   seeks = batches + live_looking,
   ///   sectors_read = 2 * (capacity + live_looking).
-  [[nodiscard]] disk::IoStats simulate_scan_io(
-      std::uint32_t batch_records = 0) const;
+  [[nodiscard]] disk::IoStats simulate_scan_io() const;
 
   /// Reads record `record`'s unnamed $DATA payload from `dev` (empty
   /// when it has none). The image keeps neither payloads nor run lists,
@@ -155,9 +158,7 @@ class MftSnapshot {
   /// The boot sector the image was built under.
   [[nodiscard]] const BootSector& boot() const { return boot_; }
 
-  /// Persistence (magic + version guarded). Remembered parses of
-  /// replaced states are not saved — strictly a performance matter, never
-  /// a correctness one.
+  /// Persistence (magic + version guarded).
   void serialize(ByteWriter& w) const;
   [[nodiscard]] static support::StatusOr<MftSnapshot> deserialize(
       ByteReader& r);
@@ -171,8 +172,6 @@ class MftSnapshot {
   BootSector boot_;
   /// Live-looking slots by record number; a free slot has no entry.
   std::map<std::uint64_t, MftSlot> slots_;
-  /// Parses of the slot states the last refresh replaced, by digest.
-  std::map<std::uint64_t, MftSlot> seen_;
   std::vector<RawFile> listing_;
 };
 

@@ -96,8 +96,7 @@ class NtfsVolume {
   /// Moves/renames a file or directory. The target parent must exist and
   /// the target name must be free. Deliberately does NOT touch the
   /// standard-information timestamps (as NTFS does not on rename), so a
-  /// rename chain A→B→A restores the record to byte-identical content —
-  /// the property the content-addressed snapshot cache exploits.
+  /// rename chain A→B→A restores the record to byte-identical content.
   void rename(std::string_view old_path, std::string_view new_path);
 
   // --- alternate data streams (named $DATA attributes) --------------------

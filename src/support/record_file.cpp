@@ -153,9 +153,9 @@ Status RecordFile::append(std::span<const std::byte> payload) {
              static_cast<std::streamsize>(frame.size()));
   // Flush-per-record is the durability contract: a record is in the
   // file before append returns, or it was never acknowledged. Callers
-  // append under their own lock (the daemon's, the event log's), which
-  // orders records with the state changes they describe and keeps
-  // frames from interleaving.
+  // append under their own lock (Daemon::mu for the job journal,
+  // EventLog::mu for the flight recorder), which orders records with the
+  // state changes they describe and keeps frames from interleaving.
   // gb-lint: allow(blocking-under-lock)
   out_.flush();
   if (!out_) return Status::unavailable(error(format_, "append failed", path_));

@@ -118,6 +118,21 @@ TEST(LintRules, FixtureCorpusCoversEveryRule) {
   EXPECT_FALSE(gb::lint::known_rule("no-such-rule"));
 }
 
+// Calls through a std::optional member resolve to the held type, as
+// calls through unique_ptr and shared_ptr do — including a member whose
+// declaration carries a GB_GUARDED_BY annotation.
+TEST(LintRules, OptionalMemberCallsResolveToTheHeldType) {
+  const auto bad = lint_fixture("bad_blocking_under_optional.cpp");
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_EQ(bad[0].rule, "blocking-under-lock");
+  EXPECT_NE(bad[0].message.find("'flush'"), std::string::npos)
+      << bad[0].to_string();
+  EXPECT_NE(bad[0].message.find("Log::mu"), std::string::npos)
+      << bad[0].to_string();
+  const auto good = lint_fixture("good_blocking_under_optional.cpp");
+  EXPECT_TRUE(good.empty()) << good.front().to_string();
+}
+
 TEST(LintSuppressions, InlineAllowSilencesNamedRulesOnly) {
   // The corpus file carries same-line, line-above, and multi-rule
   // allow() waivers for real violations.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "support/rng.h"
 
 namespace gb::ntfs {
@@ -66,6 +70,27 @@ TEST(RunList, TruncatedStreamThrows) {
   w.u8(5);     // ...but stream ends here
   ByteReader r(w.view());
   EXPECT_THROW(decode_runlist(r), ParseError);
+}
+
+TEST(RunList, OverflowingLcnThrows) {
+  // Two 8-byte deltas, INT64_MAX then +1: the second LCN is past INT64_MAX,
+  // which must be rejected before the add, not wrapped into a negative.
+  ByteWriter w;
+  w.u8(0x81);  // 1 length byte, 8 offset bytes
+  w.u8(1);
+  w.u64(static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()));
+  w.u8(0x81);
+  w.u8(1);
+  w.u64(1);
+  w.u8(0);
+  ByteReader r(w.view());
+  try {
+    (void)decode_runlist(r);
+    FAIL() << "decoded an overflowing LCN";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos)
+        << e.what();
+  }
 }
 
 class RunListPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

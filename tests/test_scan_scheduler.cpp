@@ -251,7 +251,6 @@ TEST(SchedulerDeterminism, PerJobReportsIdenticalAtWorkers_1_2_8) {
     for (auto& m : fleet) {
       JobSpec spec;
       spec.machine = m.get();
-      spec.config.files.mft_batch_records = 64;
       jobs.push_back(sched.submit(std::move(spec)).value());
     }
     std::vector<std::string> normals;

@@ -14,7 +14,9 @@
 #include <cstddef>
 #include <fstream>
 #include <cstdio>
+#include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,13 +24,16 @@
 #include "core/report_diff.h"
 #include "core/scan_engine.h"
 #include "core/scan_scheduler.h"
+#include "hive/hive.h"
 #include "machine/machine.h"
 #include "malware/hackerdefender.h"
 #include "ntfs/dir_index.h"
 #include "ntfs/mft_scanner.h"
 #include "ntfs/ntfs_format.h"
+#include "ntfs/snapshot.h"
 #include "obs/trace.h"
 #include "support/bytes.h"
+#include "support/checksum.h"
 
 namespace gb {
 namespace {
@@ -482,13 +487,124 @@ TEST(ScanSession, RestoredCursorFromPreviousMountForcesFullWalk) {
   EXPECT_EQ(normalize(report.to_json()), normalize(cold_scan(m, 1).to_json()));
 }
 
+std::vector<std::byte> read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  const std::vector<char> raw((std::istreambuf_iterator<char>(is)),
+                              std::istreambuf_iterator<char>());
+  const auto* begin = reinterpret_cast<const std::byte*>(raw.data());
+  return {begin, begin + raw.size()};
+}
+
+void write_bytes(const std::string& path, std::span<const std::byte> bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ScanSession, SavedStoreHoldsNoHiveParseAndStaysFlatUnderRegistryChurn) {
+  machine::Machine m(small_config());
+  const auto set_setting = [&](int i) {
+    char data[32];
+    std::snprintf(data, sizeof data, "value %02d", i);
+    m.registry().set_value("HKLM\\SOFTWARE\\Contoso\\App",
+                           hive::Value::string("setting", data));
+  };
+  set_setting(0);
+  core::ScanConfig cfg;
+  cfg.parallelism = 1;
+  core::ScanEngine engine(m, cfg);
+  core::ScanSession session = engine.open_session();
+  const std::string path = ::testing::TempDir() + "/gb_registry_churn_store.bin";
+  (void)session.rescan();
+  ASSERT_TRUE(session.save(path).ok());
+  const std::vector<std::byte> primed = read_bytes(path);
+  const std::string_view regf = "regf";  // every hive's base-block magic
+  EXPECT_EQ(std::search(primed.begin(), primed.end(), regf.begin(),
+                        regf.end(),
+                        [](std::byte b, char c) {
+                          return b == static_cast<std::byte>(c);
+                        }),
+            primed.end());
+
+  // One SOFTWARE value change before each rescan: the flush rewrites the
+  // hive with new bytes every time, and nothing of it may accumulate.
+  for (int i = 1; i <= 40; ++i) {
+    set_setting(i);
+    (void)session.rescan();
+    ASSERT_TRUE(session.last_sync().incremental);
+    ASSERT_TRUE(session.save(path).ok());
+    EXPECT_EQ(read_bytes(path).size(), primed.size()) << "after change " << i;
+  }
+}
+
+TEST(ScanSession, VerifySplicedCatchesAForgedSlotInARestoredStore) {
+  machine::Machine m(small_config());
+  malware::install_ghostware<malware::HackerDefender>(m);
+  core::ScanConfig cfg;
+  cfg.parallelism = 1;
+  core::ScanEngine engine(m, cfg);
+  const std::string path = ::testing::TempDir() + "/gb_forged_slot_store.bin";
+  {
+    core::ScanSession session = engine.open_session();
+    (void)session.rescan();
+    ASSERT_TRUE(session.save(path).ok());
+  }
+
+  // Forge rcmd.exe's saved slot into a nameless one: kind kNoName and no
+  // node, but the real record's digest — a parse no device byte backs.
+  const auto boot = ntfs::read_boot_sector(m.disk()).value();
+  const auto record = ntfs::MftScanner(m.disk()).find("C:\\rcmd.exe");
+  ASSERT_TRUE(record.has_value());
+  std::vector<std::byte> image(ntfs::kMftRecordSize);
+  m.disk().read(boot.record_lba(*record), image);
+  ByteWriter saved;  // the slot's head as saved: record, kind, digest, name
+  saved.u32(static_cast<std::uint32_t>(*record));
+  saved.u8(static_cast<std::uint8_t>(ntfs::MftSlotKind::kLive));
+  saved.u64(support::fnv1a(image));
+  saved.u16(8);
+  saved.str("rcmd.exe");
+  std::vector<std::byte> store = read_bytes(path);
+  const auto head = saved.view();
+  const auto at =
+      std::search(store.begin(), store.end(), head.begin(), head.end());
+  ASSERT_NE(at, store.end());
+  // Name (2 + 8), parent (8), directory flag (1), attributes (4), stream
+  // count (2, no streams) and size (8); the index flag follows.
+  constexpr std::ptrdiff_t kNodeBytes = 2 + 8 + 8 + 1 + 4 + 2 + 8;
+  const auto node = at + 4 + 1 + 8;
+  ASSERT_EQ(node[kNodeBytes], std::byte{0});
+  at[4] = static_cast<std::byte>(ntfs::MftSlotKind::kNoName);
+  store.erase(node, node + kNodeBytes);
+  write_bytes(path, store);
+
+  core::SessionSpec spec;
+  spec.verify_spliced = true;
+  core::ScanSession paranoid = engine.open_session(spec);
+  ASSERT_TRUE(paranoid.restore(path).ok());
+  core::ScanSession trusting = engine.open_session();
+  ASSERT_TRUE(trusting.restore(path).ok());
+
+  const core::Report cold = cold_scan(m, 1);
+  ASSERT_EQ(cold.hidden_count(core::ResourceType::kFile), 4u);
+  const core::Report checked = paranoid.rescan();
+  EXPECT_FALSE(paranoid.last_sync().incremental);
+  EXPECT_EQ(paranoid.last_sync().fallback_reason, "digest mismatch");
+  EXPECT_EQ(normalize(checked.to_json()), normalize(cold.to_json()));
+
+  // A default session trusts a restored store as it trusts the journal:
+  // the forged slot hides rcmd.exe until the next full walk.
+  const core::Report trusted = trusting.rescan();
+  EXPECT_TRUE(trusting.last_sync().incremental);
+  EXPECT_EQ(trusted.hidden_count(core::ResourceType::kFile), 3u);
+}
+
 TEST(ScanSession, RestoreRejectsHugeSlotCountWithoutCrashing) {
   // A store whose headers all validate but whose MFT slot count is a
   // 4-billion lie. restore() must classify it as corrupt — the resize it
   // implies could never be satisfied by the input — not die in bad_alloc.
   ByteWriter w;
   w.u32(0x53534247);  // store magic "GBSS"
-  w.u16(1);           // store version
+  w.u16(2);           // store version
   w.u64(0);           // journal_id
   w.u64(0);           // cursor
   w.u8(1);            // primed
@@ -498,12 +614,7 @@ TEST(ScanSession, RestoreRejectsHugeSlotCountWithoutCrashing) {
   w.u32(4096);        // mft record count
   w.u32(0xffffffff);  // slot count far beyond the bytes that follow
   const std::string path = ::testing::TempDir() + "/gb_huge_count_store.bin";
-  {
-    std::ofstream os(path, std::ios::binary);
-    const auto view = w.view();
-    os.write(reinterpret_cast<const char*>(view.data()),
-             static_cast<std::streamsize>(view.size()));
-  }
+  write_bytes(path, w.view());
 
   machine::Machine m(small_config());
   core::ScanConfig cfg;

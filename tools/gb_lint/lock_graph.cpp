@@ -36,6 +36,16 @@ bool macro_like(const std::string& s) {
   return has_alpha;
 }
 
+/// Where the first GB_ annotation macro in `s` starts (s.size() when
+/// there is none).
+std::size_t annotation_start(const std::string& s) {
+  for (std::size_t pos = s.find("GB_"); pos != std::string::npos;
+       pos = s.find("GB_", pos + 3)) {
+    if (pos == 0 || !ident_char(s[pos - 1])) return pos;
+  }
+  return s.size();
+}
+
 std::size_t skip_spaces(const std::string& s, std::size_t i) {
   while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
     ++i;
@@ -623,30 +633,33 @@ struct Scanner {
             LockMutexMember{cls, s.substr(i, e - i), line_at(pos)});
       }
     }
-    // Field type hints for member-call resolution. Smart pointers
-    // first, then `Type* name` / `Type& name` / `Type name`.
-    if (s.find('(') == std::string::npos || s.find("unique_ptr") != std::string::npos ||
-        s.find("shared_ptr") != std::string::npos) {
+    // Field type hints for member-call resolution: `Type* name`,
+    // `Type& name`, `Type name`, or a unique_ptr, shared_ptr or optional
+    // of Type, whose calls go through to Type. The declaration ends at an
+    // initializer or a GB_ annotation; one that still holds a '(' is a
+    // function, not a field.
+    const std::string decl =
+        s.substr(0, std::min(s.find_first_of("={"), annotation_start(s)));
+    if (decl.find('(') == std::string::npos) {
       std::string type;
-      for (std::string_view sp : {"unique_ptr", "shared_ptr"}) {
-        const std::size_t pos = s.find(sp);
+      for (std::string_view sp : {"unique_ptr", "shared_ptr", "optional"}) {
+        const std::size_t pos = decl.find(sp);
         if (pos == std::string::npos) continue;
         std::size_t lt = pos + sp.size();
-        if (lt >= s.size() || s[lt] != '<') continue;
+        if (lt >= decl.size() || decl[lt] != '<') continue;
         int depth = 0;
         std::size_t j = lt, close = std::string::npos;
-        for (; j < s.size(); ++j) {
-          if (s[j] == '<') ++depth;
-          if (s[j] == '>' && --depth == 0) { close = j; break; }
+        for (; j < decl.size(); ++j) {
+          if (decl[j] == '<') ++depth;
+          if (decl[j] == '>' && --depth == 0) { close = j; break; }
         }
         if (close == std::string::npos) continue;
-        type = s.substr(lt + 1, close - lt - 1);
+        type = decl.substr(lt + 1, close - lt - 1);
         break;
       }
-      if (type.empty() && s.find('(') == std::string::npos &&
-          s.find('<') == std::string::npos) {
+      if (type.empty() && decl.find('<') == std::string::npos) {
         // `ns::Type* name_;` — everything before the last identifier.
-        type = s;
+        type = decl;
       }
       if (!type.empty()) {
         // Last :: segment of the type's first token run.
@@ -664,14 +677,12 @@ struct Scanner {
           }
         }
         if (!done && !seg.empty()) last_seg = seg;
-        // Field name: last identifier before ; = { terminators.
-        std::size_t e = s.size();
-        const std::size_t stop = s.find_first_of("={");
-        if (stop != std::string::npos) e = stop;
-        while (e > 0 && !ident_char(s[e - 1])) --e;
+        // Field name: the declaration's last identifier.
+        std::size_t e = decl.size();
+        while (e > 0 && !ident_char(decl[e - 1])) --e;
         std::size_t b = e;
-        while (b > 0 && ident_char(s[b - 1])) --b;
-        const std::string field = s.substr(b, e - b);
+        while (b > 0 && ident_char(decl[b - 1])) --b;
+        const std::string field = decl.substr(b, e - b);
         if (!field.empty() && !last_seg.empty() && last_seg != field &&
             !macro_like(last_seg) &&
             std::isupper(static_cast<unsigned char>(last_seg[0])) != 0) {
