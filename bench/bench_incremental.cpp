@@ -2,8 +2,8 @@
 //
 // The paper's fleet deployment re-scans millions of endpoints on a
 // cadence, and between scans almost nothing on a given volume changes.
-// A ScanSession remembers the parsed MFT + hive state behind a change-
-// journal cursor, so a re-scan re-parses only the dirtied records and
+// A ScanSession keeps the parsed MFT image behind a change-journal
+// cursor, so a re-scan re-parses only the dirtied records and
 // splices the rest. This bench quantifies the payoff: wall-clock cold
 // scan vs session rescan at several churn rates, asserting along the way
 // that the rescan report stays byte-identical to the cold scan's.
@@ -85,7 +85,7 @@ void print_table(const std::string& json_path) {
 
     core::ScanEngine engine(m, serial_config());
     core::ScanSession session = engine.open_session();
-    (void)session.rescan();  // prime the snapshot store (full walk)
+    (void)session.rescan();  // build the session's MFT image (full walk)
 
     double cold_best = 1e9, rescan_best = 1e9;
     bool identical = true;

@@ -34,7 +34,7 @@
 //   --no-carve disables the view entirely.
 //
 //   --rescan N (inside mode) scans through an incremental ScanSession:
-//   the first scan primes the snapshot store, then N re-scans splice
+//   the first scan builds the session's MFT image, then N re-scans splice
 //   unchanged MFT records from it, narrating each sync's
 //   journal/splice provenance on stderr. The final report goes to
 //   stdout/--json exactly as a plain scan's would.
@@ -833,7 +833,7 @@ int cmd_scan(int argc, char** argv, int first) {
   core::JobSpec job;
   job.kind = parse_kind_or_exit(mode);
   if (rescans > 0 && mode == "inside") {
-    // Incremental session: scan 0 primes the snapshot store (full walk),
+    // Incremental session: scan 0 builds the MFT image (full walk),
     // the rest splice. Narration goes to stderr so --json stays clean.
     core::ScanSession session = gb.open_session();
     for (std::size_t r = 0; r <= rescans; ++r) {

@@ -3,8 +3,9 @@
 # (GB_WERROR=ON, plus clang-tidy via GB_TIDY=1 in the environment when
 # installed), builds everything, and runs the full ctest suite — which
 # includes `ctest -L lint`: the gb-lint fixture self-tests plus the
-# zero-findings sweep over the real tree — then the bench smokes and the
-# benchmark package's self-test. Exits nonzero on any finding.
+# zero-findings sweep over the real tree — then the dead-surface gate,
+# the bench smokes and the benchmark package's self-test. Exits nonzero
+# on any finding.
 #
 #   scripts/check.sh                 # the documented pre-PR command
 #   GB_TIDY=1 scripts/check.sh      # also run the clang-tidy profile
@@ -47,6 +48,10 @@ echo "== gb_lint lock-graph sweep (cross-TU ordering + hold-and-block)"
 
 echo "== ctest (full suite, includes -L lint and -L incremental)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
+
+echo "== dead surface (every src/ function no product links is allowlisted)"
+# Its own -O0 --gc-sections build in build-dead-surface/; see the script.
+scripts/dead_surface.sh
 
 echo "== bench_incremental smoke (table only; asserts rescan byte-identity)"
 "${BUILD_DIR}/bench/bench_incremental" \

@@ -1,8 +1,5 @@
 #include "core/cross_time.h"
 
-#include <optional>
-
-#include "core/differ.h"
 #include "hive/hive.h"
 #include "ntfs/mft_scanner.h"
 #include "registry/aseps.h"
@@ -96,99 +93,6 @@ CrossTimeDiff cross_time_diff(const Checkpoint& before,
       diff.changes.push_back({ChangeKind::kRemoved, key, true});
     }
   }
-  return diff;
-}
-
-namespace {
-
-/// One comparison pass over a sorted map, split into `shards` contiguous
-/// index ranges. Each range classifies its items in key order and the
-/// range outputs concatenate in range order — exactly the serial
-/// emission order for that pass.
-template <typename V, typename Fn>
-void sharded_pass(const std::map<std::string, V>& m, std::size_t shards,
-                  support::ThreadPool& pool, Fn classify,
-                  std::vector<Change>& out) {
-  std::vector<const std::pair<const std::string, V>*> items;
-  items.reserve(m.size());
-  for (const auto& kv : m) items.push_back(&kv);
-  std::vector<std::vector<Change>> parts(shards);
-  pool.parallel_for(shards, [&](std::size_t s) {
-    const std::size_t begin = items.size() * s / shards;
-    const std::size_t end = items.size() * (s + 1) / shards;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (auto c = classify(items[i]->first, items[i]->second)) {
-        parts[s].push_back(std::move(*c));
-      }
-    }
-  });
-  for (auto& p : parts) {
-    out.insert(out.end(), std::make_move_iterator(p.begin()),
-               std::make_move_iterator(p.end()));
-  }
-}
-
-}  // namespace
-
-CrossTimeDiff cross_time_diff(const Checkpoint& before,
-                              const Checkpoint& after,
-                              support::ThreadPool* pool, std::size_t shards) {
-  const std::size_t total = before.size() + after.size();
-  if (!pool || pool->size() == 0 || total < ShardPlan::kMinResources) {
-    return cross_time_diff(before, after);
-  }
-  shards = ShardPlan::shards_for(pool->size(), shards);
-  if (shards <= 1) return cross_time_diff(before, after);
-
-  CrossTimeDiff diff;
-  sharded_pass(
-      after.files, shards, *pool,
-      [&](const std::string& path,
-          const Checkpoint::FileEntry& entry) -> std::optional<Change> {
-        const auto it = before.files.find(path);
-        if (it == before.files.end()) {
-          return Change{ChangeKind::kAdded, path, false};
-        }
-        if (!(it->second == entry)) {
-          return Change{ChangeKind::kModified, path, false};
-        }
-        return std::nullopt;
-      },
-      diff.changes);
-  sharded_pass(
-      before.files, shards, *pool,
-      [&](const std::string& path,
-          const Checkpoint::FileEntry&) -> std::optional<Change> {
-        if (!after.files.contains(path)) {
-          return Change{ChangeKind::kRemoved, path, false};
-        }
-        return std::nullopt;
-      },
-      diff.changes);
-  sharded_pass(
-      after.registry, shards, *pool,
-      [&](const std::string& key,
-          const std::uint64_t& hash) -> std::optional<Change> {
-        const auto it = before.registry.find(key);
-        if (it == before.registry.end()) {
-          return Change{ChangeKind::kAdded, key, true};
-        }
-        if (it->second != hash) {
-          return Change{ChangeKind::kModified, key, true};
-        }
-        return std::nullopt;
-      },
-      diff.changes);
-  sharded_pass(
-      before.registry, shards, *pool,
-      [&](const std::string& key,
-          const std::uint64_t&) -> std::optional<Change> {
-        if (!after.registry.contains(key)) {
-          return Change{ChangeKind::kRemoved, key, true};
-        }
-        return std::nullopt;
-      },
-      diff.changes);
   return diff;
 }
 

@@ -8,7 +8,8 @@
 // This module implements that baseline faithfully — checkpoint capture,
 // content hashing, change classification and the noise filter — so the
 // ablation bench can quantify the paper's usability argument instead of
-// asserting it.
+// asserting it. The diff is one serial pass over two sorted maps; the
+// ablation bench and the stealth_audit example call it.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "machine/machine.h"
-#include "support/thread_pool.h"
 
 namespace gb::core {
 
@@ -62,18 +62,6 @@ struct CrossTimeDiff {
 /// Tripwire-style comparison of two checkpoints.
 CrossTimeDiff cross_time_diff(const Checkpoint& before,
                               const Checkpoint& after);
-
-/// Sharded variant: splits each of the four comparison passes (file
-/// adds/mods, file removes, registry adds/mods, registry removes) into
-/// contiguous key ranges on the pool. Shard outputs concatenate in range
-/// order within each pass, so the change list is byte-identical to the
-/// serial diff at any worker or shard count. Shard count and the
-/// small-input serial cutoff follow the ShardPlan cost model in
-/// core/differ.h (`shards` 0 = one per executor).
-CrossTimeDiff cross_time_diff(const Checkpoint& before,
-                              const Checkpoint& after,
-                              support::ThreadPool* pool,
-                              std::size_t shards = 0);
 
 /// The noise filter cross-time tools must carry: path patterns for
 /// locations that change legitimately all the time (logs, temp, caches,

@@ -136,17 +136,28 @@ support::StatusOr<ScanResult> outside_file_scan(disk::SectorDevice& dev) {
     // Fresh read-only mount: no hooks, no filters — and provably no
     // writes to the evidence disk (not even the mount-sequence bump).
     ntfs::NtfsVolume vol(dev, ntfs::MountMode::kReadOnly);
-    std::function<void(const std::string&)> walk =
-        [&](const std::string& dir) {
+    // Each directory is listed once: an index that lists a directory
+    // twice (under itself, or under two parents) is corrupt, not a loop.
+    std::set<std::uint64_t> listed;
+    std::function<void(const std::string&, std::uint64_t)> walk =
+        [&](const std::string& dir, std::uint64_t record) {
+          if (!listed.insert(record).second) {
+            throw ParseError("directory record " + std::to_string(record) +
+                             " is listed twice (" + printable(dir) + ")");
+          }
           for (const auto& e : vol.list_directory(dir)) {
             const std::string full = join_path(dir, e.name);
             out.resources.push_back(Resource{file_key(full), printable(full)});
             ++out.work.records_visited;
-            if (e.is_directory) walk(full);
+            if (e.is_directory) walk(full, e.record);
           }
         };
-    walk("C:");
+    walk("C:", ntfs::kMftRecordRoot);
   } catch (const ParseError& e) {
+    return support::Status::corrupt(e.what());
+  } catch (const ntfs::FsError& e) {
+    // A listed name the path lookup cannot resolve again (one holding
+    // '\', say): the index and the names disagree.
     return support::Status::corrupt(e.what());
   }
   out.normalize();

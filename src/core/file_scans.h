@@ -61,8 +61,11 @@ namespace gb::core {
 [[nodiscard]] support::StatusOr<ScanResult> index_file_scan(
     const ntfs::MftSnapshot& image);
 
-/// Clean-boot scan of a (typically powered-off) disk: fresh volume mount,
-/// full native enumeration — no ghostware code is running.
+/// Clean-boot scan of a (typically powered-off) disk: fresh read-only
+/// volume mount, full native enumeration — no ghostware code is running.
+/// kCorrupt when the mount rejects the disk (ntfs/volume.h), when a
+/// directory is reached twice (an index cycle), or when a listed name
+/// does not resolve again.
 [[nodiscard]] support::StatusOr<ScanResult> outside_file_scan(disk::SectorDevice& dev);
 
 }  // namespace gb::core

@@ -248,15 +248,6 @@ DiffReport injected_diff(const ResourceScanner& scanner,
 
 }  // namespace
 
-const char* scan_kind_name(ScanKind kind) {
-  switch (kind) {
-    case ScanKind::kInside: return "inside";
-    case ScanKind::kInjected: return "injected";
-    case ScanKind::kOutside: return "outside";
-  }
-  return "unknown";
-}
-
 bool Report::infection_detected() const {
   for (const auto& d : diffs) {
     if (!d.hidden.empty()) return true;
@@ -534,7 +525,7 @@ ScanTaskContext ScanEngine::live_context(
     const ViewDefs& defs, internal::SessionState* session,
     std::optional<internal::SessionState>& cold) {
   ScanTaskContext tctx{machine_, &pool_, cfg_};
-  // A cold scan is a sync from an empty store; a session syncs its own.
+  // A cold scan is a sync from an empty state; a session syncs its own.
   // Serial, after the flush (so the flush's journal records are replayed
   // into a session's image) and before any task (so the image never
   // changes mid-scan).
@@ -545,7 +536,7 @@ ScanTaskContext ScanEngine::live_context(
   if (state == nullptr && reads_mft) state = &cold.emplace();
   if (state == nullptr) return tctx;
   sync_session(machine_, *state, &pool_);
-  tctx.mft = &state->store.mft;
+  tctx.mft = &state->mft;
   return tctx;
 }
 
@@ -557,7 +548,7 @@ support::StatusOr<Report> ScanEngine::run(const JobSpec& spec) {
   std::optional<obs::TraceContextScope> trace_scope;
   if (spec.trace.valid()) trace_scope.emplace(spec.trace);
   if (spec.session != nullptr) {
-    // Incremental re-scan: the session's own engine (and snapshot store)
+    // Incremental re-scan: the session's own engine (and MFT image)
     // does the work; this engine's machine/config are not involved. Same
     // contract as ScanScheduler::submit — only the inside scan has an
     // incremental form, so any other kind is a caller error rather than

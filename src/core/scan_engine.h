@@ -53,7 +53,7 @@ class ScanSession;
 struct Report;
 
 namespace internal {
-struct SessionState;  // snapshot store + cursor (core/scan_session.h)
+struct SessionState;  // MFT image + journal cursor (core/scan_session.h)
 }  // namespace internal
 
 /// How the outside-the-box clean environment is entered (Section 5's
@@ -167,8 +167,6 @@ enum class ScanKind {
   kInjected,  // Section 5's DLL-injection sweep over every process
   kOutside,   // full outside-the-box run (capture, blue-screen, diff)
 };
-
-const char* scan_kind_name(ScanKind kind);
 
 /// One scan job, described machine-readably: what to scan (machine +
 /// resource mask via `config`), how (kind + per-resource policies), and
@@ -364,18 +362,16 @@ struct SessionSpec {
   /// Paranoia mode: before splicing, re-read and re-parse every MFT
   /// record and every directory index blob, and fall back to a full walk
   /// if any slot differs from what the image holds — an out-of-band write
-  /// the journal never saw, or a restored store whose parses do not match
-  /// the bytes their digests name. Costs a full walk's reads and parses
-  /// per rescan: it trades the parse savings for tamper evidence. A
-  /// default session trusts a restored store as it trusts the journal:
-  /// record bytes and index blobs written behind the volume driver's
-  /// back, and slots forged in a saved store, reach its reports only at
-  /// the next full walk.
+  /// the journal never saw. Costs a full walk's reads and parses per
+  /// rescan: it trades the parse savings for tamper evidence. A default
+  /// session trusts the journal: record bytes and index blobs written
+  /// behind the volume driver's back reach its reports only at the next
+  /// full walk.
   bool verify_spliced = false;
 };
 
-/// An incremental scanning session: owns the volume snapshot store and
-/// the change-journal cursor between scans of one machine.
+/// An incremental scanning session: keeps the volume's MFT image and the
+/// change-journal cursor between scans of one machine, in memory only.
 ///
 /// rescan() consults the journal for what changed since the previous
 /// scan, re-parses only those MFT records, splices the image's parses for
@@ -393,7 +389,6 @@ class ScanSession {
  public:
   ~ScanSession();
   ScanSession(ScanSession&&) noexcept;
-  ScanSession& operator=(ScanSession&&) noexcept;
 
   /// Incremental inside scan; never fails (no cancel token). Advances
   /// the machine's virtual clock exactly as a cold inside scan would.
@@ -408,15 +403,6 @@ class ScanSession {
 
   /// Provenance of the latest rescan()'s snapshot sync.
   [[nodiscard]] const IncrementalStats& last_sync() const;
-
-  /// Persists the snapshot store: the MFT image and the journal cursor,
-  /// no hive parse. A later session (same machine, same mount) can
-  /// restore() it and scan incrementally from this point.
-  [[nodiscard]] support::Status save(const std::string& path) const;
-  /// Loads a snapshot store saved by save(). A snapshot from a different
-  /// volume or schema version is rejected (kCorrupt) and the session is
-  /// left unchanged.
-  [[nodiscard]] support::Status restore(const std::string& path);
 
   [[nodiscard]] machine::Machine& machine() const;
   [[nodiscard]] ScanEngine& engine() const { return *engine_; }
@@ -448,8 +434,8 @@ class ScanEngine {
   [[nodiscard]] support::StatusOr<Report> run(const JobSpec& spec);
 
   /// Opens an incremental scanning session against this engine's
-  /// machine. The session's first rescan() is a full walk that primes
-  /// the snapshot store; later rescans are O(changes). The engine must
+  /// machine. The session's first rescan() is a full walk that builds
+  /// its MFT image; later rescans are O(changes). The engine must
   /// outlive the session.
   [[nodiscard]] ScanSession open_session(SessionSpec spec = {});
 
@@ -496,7 +482,7 @@ class ScanEngine {
   std::vector<std::vector<ResourceScanner::ViewDef>> live_views() const;
   /// The task context of a live phase over `defs`. When a view reads the
   /// MFT (or `session` is set) it syncs the scan's one MFT image first:
-  /// the session's store, or else `cold`, emplaced empty.
+  /// the session's state, or else `cold`, emplaced empty.
   ScanTaskContext live_context(
       const std::vector<std::vector<ResourceScanner::ViewDef>>& defs,
       internal::SessionState* session,

@@ -24,15 +24,6 @@ double seconds_since(SteadyClock::time_point start) {
 
 }  // namespace
 
-const char* job_phase_name(JobPhase phase) {
-  switch (phase) {
-    case JobPhase::kQueued: return "queued";
-    case JobPhase::kRunning: return "running";
-    case JobPhase::kDone: return "done";
-  }
-  return "?";
-}
-
 namespace internal {
 
 struct JobState;
@@ -83,7 +74,7 @@ struct SchedulerCore {
 
   /// Sessions with a job queued or running. ScanSession is not
   /// thread-safe, so submit() rejects a second job for a session already
-  /// here — two dispatchers must never drive the same snapshot store
+  /// here — two dispatchers must never drive the same MFT image
   /// concurrently. Entries leave when their job completes (served,
   /// cancelled, or shutdown).
   std::set<ScanSession*> sessions_inflight GB_GUARDED_BY(mu);
@@ -274,7 +265,7 @@ void run_job(SchedulerCore& core, JobState& st) {
     try {
       if (st.spec.session != nullptr) {
         // Scheduled incremental re-scan: drive the caller's session so
-        // the snapshot store and journal cursor carry across jobs. The
+        // the MFT image and journal cursor carry across jobs. The
         // session's engine already owns machine and config.
         result = st.spec.session->rescan(&st.token, &st.counter);
       } else {
@@ -373,8 +364,6 @@ void drain(const std::shared_ptr<SchedulerCore>& core) {
 // ScanJob
 
 std::uint64_t ScanJob::id() const { return state_->id; }
-
-const std::string& ScanJob::tenant() const { return state_->tenant; }
 
 support::StatusOr<Report>& ScanJob::wait() {
   internal::JobState& st = *state_;
@@ -598,7 +587,7 @@ support::StatusOr<ScanJob> ScanScheduler::submit(JobSpec spec) {
       return support::Status::unavailable("scheduler is shutting down");
     }
     if (st->spec.session != nullptr) {
-      // A session is single-threaded state (snapshot store + cursor):
+      // A session is single-threaded state (MFT image + cursor):
       // admitting a second job while one is queued or running would let
       // two dispatchers race on it. Callers resubmit after the first
       // job's handle reports completion.

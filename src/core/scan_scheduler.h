@@ -59,8 +59,6 @@ struct SchedulerCore;
 /// normal path; Queued -> Done happens when a queued job is cancelled.
 enum class JobPhase : int { kQueued = 0, kRunning = 1, kDone = 2 };
 
-const char* job_phase_name(JobPhase phase);
-
 /// Progress snapshot of one job: provider tasks retired vs discovered.
 struct JobProgress {
   JobPhase phase = JobPhase::kQueued;
@@ -83,7 +81,6 @@ class ScanJob {
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
   /// Scheduler-assigned id, unique per scheduler, in submission order.
   [[nodiscard]] std::uint64_t id() const;
-  [[nodiscard]] const std::string& tenant() const;
 
   /// Blocks until the job completes (successfully, with an error, or
   /// cancelled) and returns the result. The report of a completed job

@@ -28,7 +28,7 @@
 // byte-identical to a cold scan.
 //
 // Id uniqueness matters: reset() restarts USNs at zero, so if two
-// incarnations shared an id, a cursor saved under the first could look
+// incarnations shared an id, a cursor taken under the first could look
 // serveable against the second once it had journaled that many writes —
 // and a consumer would silently miss the second incarnation's earliest
 // changes. Callers of reset() must supply an id never used before on
@@ -55,8 +55,6 @@ enum class UsnReason : std::uint8_t {
   kAttrChange = 4,
   kIndexChange = 5,
 };
-
-const char* usn_reason_name(UsnReason reason);
 
 /// One journal entry: which MFT record changed, why, and its USN.
 struct UsnRecord {

@@ -425,13 +425,4 @@ support::StatusOr<Key> parse_hive_or(std::span<const std::byte> image) {
   }
 }
 
-std::string hive_name(std::span<const std::byte> image) {
-  if (image.size() < kBaseBlockSize) throw ParseError("hive too small");
-  ByteReader r(image);
-  if (r.u32() != kRegfMagic) throw ParseError("bad regf magic");
-  r.seek(BaseBlockLayout::kName);
-  const std::string raw = r.str(64);
-  return std::string(raw.c_str());  // trim trailing NUL padding
-}
-
 }  // namespace gb::hive

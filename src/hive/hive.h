@@ -76,7 +76,4 @@ Key parse_hive(std::span<const std::byte> image);
 /// instead of aborting the session.
 [[nodiscard]] support::StatusOr<Key> parse_hive_or(std::span<const std::byte> image);
 
-/// Reads the hive name from the base block without a full parse.
-std::string hive_name(std::span<const std::byte> image);
-
 }  // namespace gb::hive

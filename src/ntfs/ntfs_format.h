@@ -68,7 +68,7 @@ struct BootSectorLayout {
   /// it, increments it, and writes it back, then derives the change
   /// journal's incarnation id from (serial, sequence). Persisting the
   /// counter on the device is what makes journal ids unique across
-  /// mounts — a cursor saved under one mount can never validate against
+  /// mounts — a cursor taken under one mount can never validate against
   /// a later mount's journal (see NtfsVolume::journal()).
   static constexpr std::size_t kJournalSeq = 80;         // u64
   static constexpr std::size_t kSignature = 510;         // 0x55 0xAA

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <new>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,9 +16,6 @@
 namespace gb::ntfs {
 
 namespace {
-
-constexpr std::uint32_t kSnapshotMagic = 0x50414E53;  // "SNAP"
-constexpr std::uint16_t kSnapshotVersion = 2;
 
 using RecordImage = std::array<std::byte, kMftRecordSize>;
 
@@ -69,89 +65,6 @@ MftSlot classify(disk::SectorDevice& dev, std::span<const std::byte> image) {
     read_children(dev, *s.index);
     s.index->blob.resident_data = {};
   }
-  return s;
-}
-
-/// An index blob's location: a resident blob's bytes are not kept.
-void write_blob(ByteWriter& w, const DataAttr& d) {
-  w.u8(d.resident ? 1 : 0);
-  w.u64(d.real_size);
-  if (!d.resident) encode_runlist(d.runs, w);
-}
-
-DataAttr read_blob(ByteReader& r) {
-  DataAttr d;
-  d.resident = r.u8() != 0;
-  d.real_size = r.u64();
-  if (!d.resident) d.runs = decode_runlist(r);
-  return d;
-}
-
-void write_slot(ByteWriter& w, const MftSlot& s) {
-  w.u8(static_cast<std::uint8_t>(s.kind));
-  w.u64(s.digest);
-  if (s.node) {
-    const MftNode& n = *s.node;
-    w.u16(static_cast<std::uint16_t>(n.name.size()));
-    w.str(n.name);
-    w.u64(n.parent);
-    w.u8(n.is_directory ? 1 : 0);
-    w.u32(n.attributes);
-    w.u16(static_cast<std::uint16_t>(n.stream_names.size()));
-    for (const std::string& name : n.stream_names) {
-      w.u16(static_cast<std::uint16_t>(name.size()));
-      w.str(name);
-    }
-    w.u64(n.size);
-  }
-  w.u8(s.index ? 1 : 0);
-  if (!s.index) return;
-  const MftIndex& x = *s.index;
-  write_blob(w, x.blob);
-  w.u32(static_cast<std::uint32_t>(x.children.size()));
-  for (const std::uint64_t child : x.children) w.u64(child);
-  w.u16(static_cast<std::uint16_t>(x.error.size()));
-  w.str(x.error);
-}
-
-/// Throws ParseError on malformed input.
-MftSlot read_slot(ByteReader& r) {
-  MftSlot s;
-  const std::uint8_t kind = r.u8();
-  if (kind < static_cast<std::uint8_t>(MftSlotKind::kCorrupt) ||
-      kind > static_cast<std::uint8_t>(MftSlotKind::kLive)) {
-    throw ParseError("bad slot kind");
-  }
-  s.kind = static_cast<MftSlotKind>(kind);
-  s.digest = r.u64();
-  if (s.kind == MftSlotKind::kLive) {
-    MftNode n;
-    n.name = r.str(r.u16());
-    n.parent = r.u64();
-    n.is_directory = r.u8() != 0;
-    n.attributes = r.u32();
-    const std::uint16_t streams = r.u16();
-    for (std::uint16_t i = 0; i < streams; ++i) {
-      n.stream_names.push_back(r.str(r.u16()));
-    }
-    n.size = r.u64();
-    s.node = std::move(n);
-  }
-  if (r.u8() == 0) return s;
-  if (s.kind == MftSlotKind::kCorrupt) throw ParseError("index on a corrupt slot");
-  MftIndex x;
-  x.blob = read_blob(r);
-  const std::uint32_t children = r.count(8);
-  x.children.reserve(children);
-  for (std::uint32_t i = 0; i < children; ++i) {
-    const std::uint64_t child = r.u64();
-    if (!x.children.empty() && child <= x.children.back()) {
-      throw ParseError("index children out of order");
-    }
-    x.children.push_back(child);
-  }
-  x.error = r.str(r.u16());
-  s.index = std::move(x);
   return s;
 }
 
@@ -355,57 +268,6 @@ std::size_t MftSnapshot::corrupt_records() const {
 const MftSlot* MftSnapshot::slot(std::uint64_t record) const {
   const auto it = slots_.find(record);
   return it == slots_.end() ? nullptr : &it->second;
-}
-
-void MftSnapshot::serialize(ByteWriter& w) const {
-  w.u32(kSnapshotMagic);
-  w.u16(kSnapshotVersion);
-  w.u64(boot_.mft_start_cluster);
-  w.u32(boot_.mft_record_count);
-  w.u32(static_cast<std::uint32_t>(slots_.size()));
-  for (const auto& [record, s] : slots_) {
-    w.u32(static_cast<std::uint32_t>(record));
-    write_slot(w, s);
-  }
-}
-
-support::StatusOr<MftSnapshot> MftSnapshot::deserialize(ByteReader& r) {
-  try {
-    if (r.u32() != kSnapshotMagic) {
-      return support::Status::corrupt("not an MFT snapshot (bad magic)");
-    }
-    if (const auto v = r.u16(); v != kSnapshotVersion) {
-      return support::Status::corrupt("unsupported snapshot version " +
-                                      std::to_string(v));
-    }
-    MftSnapshot snap;
-    snap.boot_.mft_start_cluster = r.u64();
-    snap.boot_.mft_record_count = r.u32();
-    // Every saved slot costs at least 14 bytes (record, kind, digest,
-    // index flag), so the count is bounded by the input left.
-    const std::uint32_t slot_count = r.count(14);
-    for (std::uint32_t i = 0; i < slot_count; ++i) {
-      const std::uint32_t record = r.u32();
-      if (record >= snap.boot_.mft_record_count ||
-          (!snap.slots_.empty() && record <= snap.slots_.rbegin()->first)) {
-        return support::Status::corrupt("snapshot slot " +
-                                        std::to_string(record) +
-                                        " out of order or range");
-      }
-      snap.slots_.emplace_hint(snap.slots_.end(), record, read_slot(r));
-    }
-    snap.assemble_listing();
-    return snap;
-  } catch (const ParseError& e) {
-    return support::Status::corrupt(std::string("truncated snapshot: ") +
-                                    e.what());
-  } catch (const std::bad_alloc&) {
-    // Belt and braces: every count above is bounded by the input, but a
-    // corrupt store must never crash the restore path.
-    return support::Status::corrupt("snapshot too large for memory");
-  } catch (const std::length_error&) {
-    return support::Status::corrupt("snapshot length field out of range");
-  }
 }
 
 }  // namespace gb::ntfs

@@ -24,8 +24,7 @@
 // non-resident children are re-read whenever their directory is
 // journaled, and every scan-visible record write goes through the
 // journaled NtfsVolume::store_record(). Out-of-band device writes bypass
-// the journal, and a restored image may not be what the device holds;
-// verify() re-parses every slot to detect both.
+// the journal; verify() re-parses every slot to detect them.
 //
 // Nothing here throws on hostile bytes: a record that does not parse is
 // a kCorrupt slot, an index blob that does not read or decode is an
@@ -41,7 +40,6 @@
 
 #include "disk/disk.h"
 #include "ntfs/mft_scanner.h"
-#include "support/bytes.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
 
@@ -104,19 +102,18 @@ class MftSnapshot {
 
   /// Re-reads EVERY slot and every index blob, and returns the record
   /// numbers whose held slot is not what a cold capture would classify
-  /// from the device now: writes the journal never saw, or a restored
-  /// image whose parses do not match the bytes they claim. A
-  /// live-looking slot matches when it classifies afresh to the held
-  /// slot (digest, kind, node and index children alike); a free slot
-  /// matches by still being free. Empty means the image is exact. Does
-  /// not mutate the image.
+  /// from the device now: writes the journal never saw. A live-looking
+  /// slot matches when it classifies afresh to the held slot (digest,
+  /// kind, node and index children alike); a free slot matches by still
+  /// being free. Empty means the image is exact. Does not mutate the
+  /// image.
   [[nodiscard]] std::vector<std::uint64_t> verify(
       disk::SectorDevice& dev) const;
 
   /// The raw listing: full paths resolved over the FILE_NAME parent refs
   /// (memoized parent-chain walk, cycles and broken chains under
   /// "<orphan>\"), in record order, the root excluded. Assembled once
-  /// per capture, refresh or load, and shared by every view.
+  /// per capture or refresh, and shared by every view.
   [[nodiscard]] const std::vector<RawFile>& listing() const {
     return listing_;
   }
@@ -157,11 +154,6 @@ class MftSnapshot {
   }
   /// The boot sector the image was built under.
   [[nodiscard]] const BootSector& boot() const { return boot_; }
-
-  /// Persistence (magic + version guarded).
-  void serialize(ByteWriter& w) const;
-  [[nodiscard]] static support::StatusOr<MftSnapshot> deserialize(
-      ByteReader& r);
 
  private:
   /// The slot of `record`; null when it is free.

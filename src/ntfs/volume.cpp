@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "ntfs/dir_index.h"
+#include "ntfs/mft_scanner.h"
 #include "support/strings.h"
 
 namespace gb::ntfs {
@@ -34,7 +35,7 @@ std::uint64_t clusters_for(std::uint64_t bytes) {
 /// Journal incarnation id for one (volume, mount) pair: the splitmix64
 /// finalizer over serial and the persisted mount sequence. The sequence
 /// never repeats for a device, so no two mounts ever share an id — the
-/// property that forces a cursor saved under an earlier mount into the
+/// property that forces a cursor taken under an earlier mount into the
 /// "journal reset" fallback instead of silently splicing stale records.
 std::uint64_t journal_incarnation_id(std::uint64_t serial,
                                      std::uint64_t mount_seq) {
@@ -157,6 +158,23 @@ NtfsVolume::NtfsVolume(disk::SectorDevice& dev, MountMode mode)
   bitmap_cluster_count_ = r.u32();
   total_clusters_ = total_sectors / kSectorsPerCluster;
   const std::uint64_t serial = r.u64();
+  // Nothing below is sized from a count the device cannot hold.
+  const std::uint64_t device_clusters =
+      dev_.sector_count() / kSectorsPerCluster;
+  const std::uint64_t mft_clusters = clusters_for(
+      std::uint64_t{mft_record_count_} * kMftRecordSize);
+  if (mft_start_cluster_ > device_clusters ||
+      mft_clusters > device_clusters - mft_start_cluster_) {
+    throw ParseError("MFT extent beyond the device (start cluster " +
+                     std::to_string(mft_start_cluster_) + ", " +
+                     std::to_string(mft_record_count_) + " records)");
+  }
+  if (bitmap_start_cluster_ > device_clusters ||
+      bitmap_cluster_count_ > device_clusters - bitmap_start_cluster_) {
+    throw ParseError("cluster bitmap beyond the device (start cluster " +
+                     std::to_string(bitmap_start_cluster_) + ", " +
+                     std::to_string(bitmap_cluster_count_) + " clusters)");
+  }
   // Bump the on-device mount sequence and derive this incarnation's
   // journal id from (serial, sequence): deterministic (no wall clock, no
   // randomness) yet never reused, so a cursor from a previous mount can
@@ -191,19 +209,36 @@ NtfsVolume::NtfsVolume(disk::SectorDevice& dev, MountMode mode)
       if (i >= kFirstUserRecord) free_records_.push_back(i);
       continue;
     }
-    records_[i] = MftRecord::parse(image);
+    try {
+      records_[i] = MftRecord::parse(image);
+    } catch (const ParseError& e) {
+      throw ParseError("MFT record " + std::to_string(i) + ": " + e.what());
+    }
   }
   // Free list should hand out low record numbers first for determinism.
   std::reverse(free_records_.begin(), free_records_.end());
+  if (mft_record_count_ <= kMftRecordRoot || !records_[kMftRecordRoot] ||
+      !records_[kMftRecordRoot]->is_directory()) {
+    throw ParseError("root directory (record " +
+                     std::to_string(kMftRecordRoot) +
+                     ") is not a live directory");
+  }
 
   // Build directory membership from the on-disk index attributes (the
-  // authoritative enumeration source).
+  // authoritative enumeration source). An entry must name a live record
+  // with a FILE_NAME: listing a directory reads both.
   for (std::uint64_t i = 0; i < mft_record_count_; ++i) {
     if (!records_[i] || !records_[i]->is_directory() || !records_[i]->index) {
       continue;
     }
-    const auto blob = attr_payload(*records_[i]->index);
+    const auto blob = read_attr_payload(dev_, *records_[i]->index);
     for (const auto& e : decode_index_entries(blob)) {
+      if (e.record >= mft_record_count_ || !records_[e.record] ||
+          !records_[e.record]->file_name) {
+        throw ParseError("directory record " + std::to_string(i) +
+                         " indexes record " + std::to_string(e.record) +
+                         ", which is not a live named record");
+      }
       children_[i][fold_case(e.name)] = e.record;
     }
   }
@@ -282,11 +317,6 @@ void NtfsVolume::free_attr_clusters(DataAttr& attr) {
   }
   attr.runs.clear();
   flush_bitmap();
-}
-
-std::vector<std::byte> NtfsVolume::attr_payload(const DataAttr& attr) const {
-  if (attr.resident) return attr.resident_data;
-  return read_clusters(attr.runs, attr.real_size);
 }
 
 std::uint64_t NtfsVolume::index_unlink(std::string_view path) {
@@ -381,8 +411,7 @@ std::vector<std::byte> NtfsVolume::read_file(std::string_view path) const {
   const MftRecord& rec = *records_[rec_no];
   if (rec.is_directory()) throw FsError("is a directory: " + std::string(path));
   if (!rec.data) return {};
-  if (rec.data->resident) return rec.data->resident_data;
-  return read_clusters(rec.data->runs, rec.data->real_size);
+  return read_attr_payload(dev_, *rec.data);
 }
 
 void NtfsVolume::write_file(std::string_view path,
@@ -638,8 +667,7 @@ std::vector<std::byte> NtfsVolume::read_stream(
   const MftRecord& rec = *records_[rec_no];
   for (const auto& s : rec.named_streams) {
     if (!iequals(s.name, stream_name)) continue;
-    if (s.data.resident) return s.data.resident_data;
-    return read_clusters(s.data.runs, s.data.real_size);
+    return read_attr_payload(dev_, s.data);
   }
   throw FsError("no such stream: " + std::string(path) + ":" +
                 std::string(stream_name));
@@ -772,24 +800,6 @@ void NtfsVolume::write_clusters(const RunList& runs,
       offset += n;
     }
   }
-}
-
-std::vector<std::byte> NtfsVolume::read_clusters(const RunList& runs,
-                                                 std::uint64_t size) const {
-  std::vector<std::byte> out;
-  out.reserve(size);
-  std::vector<std::byte> cluster(kClusterSize);
-  for (const Run& run : runs) {
-    for (std::uint64_t c = run.lcn; c < run.lcn + run.length; ++c) {
-      dev_.read(c * kSectorsPerCluster, cluster);
-      const std::size_t n =
-          std::min<std::uint64_t>(kClusterSize, size - out.size());
-      out.insert(out.end(), cluster.begin(),
-                 cluster.begin() + static_cast<std::ptrdiff_t>(n));
-      if (out.size() == size) return out;
-    }
-  }
-  return out;
 }
 
 void NtfsVolume::flush_bitmap() {

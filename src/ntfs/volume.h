@@ -7,9 +7,11 @@
 // image is always consistent with the driver's view — the property the
 // low-level MFT scan depends on.
 //
-// Simplification (DESIGN.md §6): directory membership is derived from
-// FILE_NAME parent references at mount time instead of on-disk index
-// B-trees; the MFT, bitmap and data runs are genuine on-disk structures.
+// Simplification (DESIGN.md §6): directory membership is read at mount
+// time from each directory's on-disk index blob (a flat entry list, not
+// a B-tree); the MFT, bitmap and data runs are genuine on-disk
+// structures. The mount trusts none of them blindly: see the
+// constructor for what it rejects.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +69,13 @@ class NtfsVolume {
                      std::uint64_t serial = 0xC0FFEE);
 
   /// Mounts an already formatted device (parses boot sector + full MFT).
+  /// Throws gb::ParseError, naming the records or the field, when the
+  /// device's bytes cannot be trusted to mount: an MFT or cluster-bitmap
+  /// extent that leaves the device, a record that looks live but does
+  /// not parse, a root (record 5) that is not a live directory, an index
+  /// entry naming a record past the MFT or one that is not live or has
+  /// no FILE_NAME, or an index blob whose size or runs leave the device
+  /// (read_file and read_stream throw the same for such a payload).
   explicit NtfsVolume(disk::SectorDevice& dev,
                       MountMode mode = MountMode::kReadWrite);
 
@@ -158,8 +167,6 @@ class NtfsVolume {
   void free_file_clusters(MftRecord& rec);
   RunList allocate_clusters(std::uint64_t count);
   void write_clusters(const RunList& runs, std::span<const std::byte> data);
-  std::vector<std::byte> read_clusters(const RunList& runs,
-                                       std::uint64_t size) const;
   void flush_bitmap();
   /// link/unlink update the in-memory map AND persist the parent's
   /// on-disk index attribute (write-through).
@@ -167,7 +174,6 @@ class NtfsVolume {
   void unlink_child(std::uint64_t parent, std::string_view name);
   void persist_index(std::uint64_t dir);
   void free_attr_clusters(DataAttr& attr);
-  std::vector<std::byte> attr_payload(const DataAttr& attr) const;
   std::uint64_t now_us() const { return clock_ ? clock_->now() : 0; }
   std::uint64_t mft_lba(std::uint64_t record) const;
   // `name` by value: callers pass the record's own FILE_NAME string, and

@@ -40,13 +40,6 @@ std::vector<std::string> UnixMachine::lsmod() const {
   return out;
 }
 
-bool UnixMachine::unload_lkm(std::string_view name) {
-  const auto before = lkms_.size();
-  std::erase_if(lkms_, [&](const auto& p) { return p.first == name; });
-  if (lkms_.size() == before) return false;
-  return true;
-}
-
 std::vector<UnixDirEnt> UnixMachine::run_ls(const std::string& path) const {
   auto entries = sys_getdents_(path);  // hooked view
   if (ls_trojan_) ls_trojan_(entries);

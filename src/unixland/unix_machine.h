@@ -37,7 +37,6 @@ class UnixMachine {
   /// to hide themselves from this list too.
   void load_lkm(std::string_view name, bool visible = true);
   std::vector<std::string> lsmod() const;
-  bool unload_lkm(std::string_view name);
 
   /// Replaces /bin/ls with a trojan filter (T0rnkit). The trojan decides
   /// which names to suppress *after* getdents returns.

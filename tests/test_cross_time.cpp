@@ -145,43 +145,5 @@ TEST(CrossTime, NoiseFilterIsADoubleEdgedSword) {
   }
 }
 
-TEST(CrossTime, ShardedDiffIsByteIdenticalToSerial) {
-  // Enough entries to clear the ShardPlan serial cutoff so the pool path
-  // genuinely shards, then require exact equality with the serial diff
-  // at several worker and shard counts.
-  machine::Machine m(small_config());
-  m.volume().create_directories("C:\\bulk");
-  for (int i = 0; i < 1100; ++i) {
-    m.volume().write_file("C:\\bulk\\f" + std::to_string(i) + ".dat",
-                          "bulk payload " + std::to_string(i));
-  }
-  const auto before = take_checkpoint(m);
-  malware::install_ghostware<malware::HackerDefender>(m);
-  for (int i = 0; i < 50; ++i) {  // modify a slice, remove another
-    m.volume().write_file("C:\\bulk\\f" + std::to_string(i) + ".dat", "v2");
-    m.volume().remove("C:\\bulk\\f" + std::to_string(1000 + i) + ".dat");
-  }
-  const auto after = take_checkpoint(m);
-  ASSERT_GE(before.size() + after.size(), ShardPlan::kMinResources);
-
-  const auto serial = cross_time_diff(before, after);
-  ASSERT_GE(serial.changes.size(), 100u);
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    support::ThreadPool pool(workers);
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{3},
-                                     std::size_t{7}}) {
-      const auto sharded = cross_time_diff(before, after, &pool, shards);
-      ASSERT_EQ(sharded.changes.size(), serial.changes.size())
-          << "workers=" << workers << " shards=" << shards;
-      for (std::size_t i = 0; i < serial.changes.size(); ++i) {
-        EXPECT_EQ(sharded.changes[i].kind, serial.changes[i].kind);
-        EXPECT_EQ(sharded.changes[i].what, serial.changes[i].what);
-        EXPECT_EQ(sharded.changes[i].is_registry, serial.changes[i].is_registry);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace gb::core

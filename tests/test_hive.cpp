@@ -84,7 +84,9 @@ TEST(HiveFormat, BaseBlockFields) {
   ASSERT_GE(image.size(), kBaseBlockSize + kHbinSize);
   ByteReader r(image);
   EXPECT_EQ(r.u32(), kRegfMagic);
-  EXPECT_EQ(hive_name(image), "HKLM\\SOFTWARE");
+  // The name sits NUL-padded in its 64-byte base-block field.
+  r.seek(BaseBlockLayout::kName);
+  EXPECT_EQ(r.str(64), std::string("HKLM\\SOFTWARE").append(51, '\0'));
   // hbin magic right after base block.
   ByteReader h(std::span<const std::byte>(image).subspan(kBaseBlockSize));
   EXPECT_EQ(h.u32(), kHbinMagic);

@@ -1,9 +1,17 @@
 // Outside-the-box detection (Sections 2–4) and the false-positive study.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/file_scans.h"
 #include "core/scan_engine.h"
 #include "machine/services.h"
 #include "malware/collection.h"
+#include "ntfs/mft_record.h"
+#include "ntfs/mft_scanner.h"
+#include "support/bytes.h"
 #include "support/strings.h"
 
 namespace gb {
@@ -190,6 +198,118 @@ TEST(OutsideBox, VmHostScanHasZeroFalsePositives) {
         << f.resource.display;
   }
   EXPECT_EQ(files->hidden.size(), 4u);
+}
+
+// --- hostile evidence: the clean-boot mount --------------------------------
+// Ghostware controls the bytes on the disk, so each probe writes a few
+// of them straight to the raw device and the clean-boot view must end
+// in kCorrupt naming what it rejected: never a crash, a phantom file or
+// an unbounded walk.
+
+machine::MachineConfig probe_config() {
+  machine::MachineConfig cfg = small_config();
+  cfg.disk_sectors = 64 * 1024;  // 32 MiB
+  cfg.mft_records = 4096;
+  return cfg;
+}
+
+/// Creates C:\probe\f.txt; returns \probe's record number.
+std::uint64_t make_probe(machine::Machine& m) {
+  m.volume().create_directories("\\probe");
+  m.volume().write_file("\\probe\\f.txt", "payload");
+  return m.volume().stat("\\probe")->record;
+}
+
+/// Rewrites f.txt's entry in \probe's resident index on the raw disk,
+/// in place: the entry now names `record`, under the five-byte `name`.
+void forge_probe_entry(machine::Machine& m, std::uint64_t record,
+                       std::string_view name) {
+  ASSERT_EQ(name.size(), 5u);
+  const auto boot = ntfs::read_boot_sector(m.disk()).value();
+  const std::uint64_t lba =
+      boot.record_lba(m.volume().stat("\\probe")->record);
+  std::vector<std::byte> image(ntfs::kMftRecordSize);
+  m.disk().read(lba, image);
+  ByteWriter entry;  // as encode_index_entries lays it out
+  entry.u64(m.volume().stat("\\probe\\f.txt")->record);
+  entry.u16(5);
+  entry.str("f.txt");
+  const auto at = std::search(image.begin(), image.end(),
+                              entry.view().begin(), entry.view().end());
+  ASSERT_NE(at, image.end());
+  ByteWriter forged;
+  forged.u64(record);
+  forged.u16(5);
+  forged.str(name);
+  std::copy(forged.view().begin(), forged.view().end(), at);
+  m.disk().write(lba, image);
+}
+
+void expect_corrupt_naming(const support::StatusOr<core::ScanResult>& scan,
+                           const std::string& what) {
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().code(), support::StatusCode::kCorrupt);
+  EXPECT_NE(scan.status().message().find(what), std::string::npos)
+      << scan.status().to_string();
+}
+
+TEST(OutsideBoxMount, IndexEntryPastTheMftIsCorrupt) {
+  machine::Machine m(probe_config());
+  make_probe(m);
+  forge_probe_entry(m, std::uint64_t{1} << 40, "f.txt");
+  expect_corrupt_naming(core::outside_file_scan(m.disk()), "1099511627776");
+}
+
+TEST(OutsideBoxMount, IndexEntryNamingAFreeSlotIsCorrupt) {
+  machine::Machine m(probe_config());
+  make_probe(m);
+  const auto boot = ntfs::read_boot_sector(m.disk()).value();
+  std::vector<std::byte> slot(ntfs::kMftRecordSize);
+  m.disk().read(boot.record_lba(4000), slot);
+  ASSERT_FALSE(ntfs::MftRecord::looks_live(slot));  // never used
+  forge_probe_entry(m, 4000, "f.txt");
+  expect_corrupt_naming(core::outside_file_scan(m.disk()), "record 4000");
+}
+
+TEST(OutsideBoxMount, DirectoryListingItselfIsCorrupt) {
+  machine::Machine m(probe_config());
+  const std::uint64_t probe = make_probe(m);
+  forge_probe_entry(m, probe, "probe");
+  expect_corrupt_naming(core::outside_file_scan(m.disk()),
+                        "directory record " + std::to_string(probe));
+}
+
+TEST(OutsideBoxMount, HugeBootSectorRecordCountIsCorrupt) {
+  machine::Machine m(probe_config());
+  std::vector<std::byte> sector(disk::kSectorSize);
+  m.disk().read(0, sector);
+  std::fill_n(sector.begin() + ntfs::BootSectorLayout::kMftRecordCount, 4,
+              std::byte{0xFF});
+  m.disk().write(0, sector);
+  expect_corrupt_naming(core::outside_file_scan(m.disk()),
+                        "4294967295 records");
+}
+
+TEST(OutsideBoxMount, EngineRunDegradesOnlyTheFileDiff) {
+  machine::Machine m(probe_config());
+  make_probe(m);
+  forge_probe_entry(m, std::uint64_t{1} << 40, "f.txt");
+  core::ScanConfig cfg;
+  cfg.parallelism = 1;
+  ScanEngine engine(m, cfg);
+  const auto report = engine.run({.kind = ScanKind::kOutside});
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  for (const auto& d : report->diffs) {
+    if (d.type != ResourceType::kFile) {
+      EXPECT_FALSE(d.degraded()) << d.status.to_string();
+      continue;
+    }
+    ASSERT_TRUE(d.degraded());
+    EXPECT_EQ(d.status.code(), support::StatusCode::kCorrupt);
+    EXPECT_NE(d.status.message().find("1099511627776"), std::string::npos)
+        << d.status.to_string();
+  }
+  ASSERT_NE(report->diff_for(ResourceType::kFile), nullptr);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Parser robustness fuzzing: random and mutated inputs must produce
 // ParseError (or a valid parse), never crashes or hangs. The byte-level
 // parsers are the trusted foundation of every low-level scan, so they
-// face adversarial inputs by design. The MFT image build and the session
-// store restore sit on top of them and must turn any volume or store
-// bytes into a value or a Status. So does the one record-framing
+// face adversarial inputs by design. The MFT image build and the
+// clean-boot mount sit on top of them and must turn any volume bytes
+// into a value or a Status. So does the one record-framing
 // parser (support/record_file.h): a crash leaves the job journal and
 // the flight recorder half-written, and a wire peer may send anything.
 // Those cases must turn every input into a value or a Status.
@@ -14,7 +14,7 @@
 #include <iterator>
 #include <string>
 
-#include "core/scan_engine.h"
+#include "core/file_scans.h"
 #include "daemon/job_journal.h"
 #include "daemon/transport.h"
 #include "daemon/wire.h"
@@ -25,6 +25,7 @@
 #include "machine/machine.h"
 #include "ntfs/dir_index.h"
 #include "ntfs/mft_record.h"
+#include "ntfs/mft_scanner.h"
 #include "ntfs/runlist.h"
 #include "ntfs/snapshot.h"
 #include "ntfs/volume.h"
@@ -268,34 +269,39 @@ TEST_P(ParserFuzz, IndexBlobsDecodeOrThrowParseError) {
   }
 }
 
-TEST_P(ParserFuzz, MutatedSessionStoresRestoreOrAStatus) {
+TEST_P(ParserFuzz, MutatedDirectoryRecordsMountToAListingOrAStatus) {
   machine::MachineConfig mc;
   mc.disk_sectors = 16 * 1024;
   mc.mft_records = 512;
   mc.synthetic_files = 8;
   mc.synthetic_registry_keys = 4;
   machine::Machine m(mc);
-  core::ScanConfig cfg;
-  cfg.parallelism = 1;
-  core::ScanEngine engine(m, cfg);
-  const std::string path = temp_file("store");
-  {
-    core::ScanSession session = engine.open_session();
-    (void)session.rescan();
-    ASSERT_TRUE(session.save(path).ok());
-  }
-  const std::vector<std::byte> original = read_bytes(path);
+  m.volume().create_directories("\\probe");
+  m.volume().write_file("\\probe\\f.txt", "payload");
+  const auto boot = ntfs::read_boot_sector(m.disk()).value();
+  const std::uint64_t directories[] = {ntfs::kMftRecordRoot,
+                                       m.volume().stat("\\probe")->record};
   for (int round = 0; round < kFramingRounds; ++round) {
-    write_bytes(path, mutate(rng_, original));
-    core::ScanSession session = engine.open_session();
-    const auto st = session.restore(path);
-    if (!st.ok()) {
-      EXPECT_EQ(st.code(), support::StatusCode::kCorrupt) << st.to_string();
-      continue;
+    // The root's and \probe's records in turn: their index entries are
+    // what the clean-boot mount trusts to list the volume.
+    const std::uint64_t lba = boot.record_lba(directories[round % 2]);
+    std::vector<std::byte> original(ntfs::kMftRecordSize);
+    m.disk().read(lba, original);
+    const std::size_t used = ntfs::MftRecord::parse(original).serialized_size();
+    std::vector<std::byte> record = original;
+    for (std::size_t i = 0, hits = 1 + rng_.below(4); i < hits; ++i) {
+      // Mostly the attributes; sometimes the padding after them.
+      const std::size_t at =
+          rng_.below(rng_.below(4) == 0 ? record.size() : used);
+      record[at] = static_cast<std::byte>(rng_.below(256));
     }
-    // A store that restores is scanned from: whatever it spliced, the
-    // rescan ends in a report.
-    (void)session.rescan();
+    m.disk().write(lba, record);
+    const auto scan = core::outside_file_scan(m.disk());
+    if (!scan.ok()) {
+      EXPECT_EQ(scan.status().code(), support::StatusCode::kCorrupt)
+          << scan.status().to_string();
+    }
+    m.disk().write(lba, original);
   }
 }
 

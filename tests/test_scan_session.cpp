@@ -2,21 +2,18 @@
 // is byte-identity — a session rescan's report (normalized for wall
 // fields and the "incremental" provenance block) must equal a cold
 // full-scan report at every worker count and every churn rate, including
-// the fallback paths (journal wrap, journal reset, stale cursor, digest
-// mismatch under verify_spliced). Plus the operational surface: store
-// save/restore, scheduler-submitted session jobs, and the report differ
-// the fleet uses on the emitted JSON.
+// the fallback paths (journal wrap, journal reset, a remount between
+// rescans, stale cursor, digest mismatch under verify_spliced). A
+// session lives in memory only. Plus the operational surface:
+// scheduler-submitted session jobs, and the report differ the fleet
+// uses on the emitted JSON.
 #include "core/scan_session.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
-#include <fstream>
 #include <cstdio>
-#include <iterator>
-#include <map>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,16 +21,12 @@
 #include "core/report_diff.h"
 #include "core/scan_engine.h"
 #include "core/scan_scheduler.h"
-#include "hive/hive.h"
 #include "machine/machine.h"
 #include "malware/hackerdefender.h"
 #include "ntfs/dir_index.h"
 #include "ntfs/mft_scanner.h"
 #include "ntfs/ntfs_format.h"
-#include "ntfs/snapshot.h"
 #include "obs/trace.h"
-#include "support/bytes.h"
-#include "support/checksum.h"
 
 namespace gb {
 namespace {
@@ -102,7 +95,7 @@ TEST(ScanSessionDeterminism, RescanMatchesColdScanAcrossWorkersAndChurn) {
       cfg.parallelism = workers;
       core::ScanEngine engine(m, cfg);
       core::ScanSession session = engine.open_session();
-      (void)session.rescan();  // prime the snapshot store
+      (void)session.rescan();  // build the session's image
       apply_churn(m, ops);
 
       const std::string cold = normalize(cold_scan(m, workers).to_json());
@@ -280,7 +273,8 @@ TEST(ScanSessionImage, EachScanWalksTheMftOnceAndAQuietRescanNever) {
   for (const auto kind : {core::ScanKind::kInside, core::ScanKind::kInjected}) {
     tracer.clear();
     ASSERT_TRUE(engine.run({.kind = kind}).ok());
-    EXPECT_EQ(spans_named("mft.scan"), 1u) << core::scan_kind_name(kind);
+    EXPECT_EQ(spans_named("mft.scan"), 1u)
+        << "kind " << static_cast<int>(kind);
     EXPECT_EQ(spans_named("mft.index_batch"), 0u);
     EXPECT_EQ(spans_named("mft.orphan_check"), 0u);
   }
@@ -424,232 +418,35 @@ TEST(ScanSession, CorruptBootSectorDegradesARescanLikeAColdScan) {
   EXPECT_EQ(normalize(rescan.to_json()), normalize(cold.to_json()));
 }
 
-// --- persistence -----------------------------------------------------------
+// --- remounts --------------------------------------------------------------
 
-TEST(ScanSession, SaveRestoreResumesIncrementallyAcrossSessions) {
-  machine::Machine m(small_config());
-  malware::install_ghostware<malware::HackerDefender>(m);
-  core::ScanConfig cfg;
-  cfg.parallelism = 1;
-  const std::string path = ::testing::TempDir() + "/gb_snapshot_store.bin";
-
-  core::ScanEngine engine(m, cfg);
-  {
-    core::ScanSession session = engine.open_session();
-    (void)session.rescan();
-    ASSERT_TRUE(session.save(path).ok());
-  }
-
-  apply_churn(m, 10);
-
-  core::ScanSession resumed = engine.open_session();
-  ASSERT_TRUE(resumed.restore(path).ok());
-  const std::string inc = normalize(resumed.rescan().to_json());
-  EXPECT_TRUE(resumed.last_sync().incremental)
-      << resumed.last_sync().fallback_reason;
-  EXPECT_EQ(inc, normalize(cold_scan(m, 1).to_json()));
-}
-
-TEST(ScanSession, RestoredCursorFromPreviousMountForcesFullWalk) {
+TEST(ScanSession, RemountBetweenRescansForcesFullWalk) {
   machine::Machine m(small_config());
   core::ScanConfig cfg;
   cfg.parallelism = 1;
   core::ScanEngine engine(m, cfg);
-  const std::string path = ::testing::TempDir() + "/gb_cross_mount_store.bin";
-  {
-    core::ScanSession session = engine.open_session();
-    (void)session.rescan();
-    ASSERT_TRUE(session.save(path).ok());
-  }
-  const std::uint64_t saved_cursor = m.volume().journal().next_usn();
+  core::ScanSession session = engine.open_session();
+  (void)session.rescan();
+  const std::uint64_t cursor = session.last_sync().cursor;
 
-  // Power-cycle the volume, then install hidden malware among the new
-  // mount's earliest journaled writes and churn until the new journal
-  // counts past the saved cursor. The cursor is now numerically
-  // serveable against the new incarnation — the trap: a journal id
-  // reused across mounts would splice the pre-remount snapshot over the
-  // malware's records and the rescan would miss the infection.
+  // Power-cycle the volume under the live session, then install hidden
+  // malware among the new mount's earliest journaled writes and churn
+  // until the new journal counts past the session's cursor. The cursor
+  // is now numerically serveable against the new incarnation — the trap:
+  // a journal id reused across mounts would splice the pre-remount image
+  // over the malware's records and the rescan would miss the infection.
   m.remount_volume();
   malware::install_ghostware<malware::HackerDefender>(m);
-  for (int round = 0; m.volume().journal().next_usn() <= saved_cursor;
-       ++round) {
+  for (int round = 0; m.volume().journal().next_usn() <= cursor; ++round) {
     m.volume().write_file("\\wash" + std::to_string(round) + ".txt", "tick");
   }
-  ASSERT_GE(m.volume().journal().next_usn(), saved_cursor);
 
-  core::ScanSession resumed = engine.open_session();
-  ASSERT_TRUE(resumed.restore(path).ok());
-  const core::Report report = resumed.rescan();
-  EXPECT_FALSE(resumed.last_sync().incremental);
-  EXPECT_EQ(resumed.last_sync().fallback_reason, "journal reset");
+  const core::Report report = session.rescan();
+  EXPECT_FALSE(session.last_sync().incremental);
+  EXPECT_EQ(session.last_sync().fallback_reason, "journal reset");
   EXPECT_TRUE(report.infection_detected());
   EXPECT_GT(report.hidden_count(core::ResourceType::kFile), 0u);
   EXPECT_EQ(normalize(report.to_json()), normalize(cold_scan(m, 1).to_json()));
-}
-
-std::vector<std::byte> read_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  const std::vector<char> raw((std::istreambuf_iterator<char>(is)),
-                              std::istreambuf_iterator<char>());
-  const auto* begin = reinterpret_cast<const std::byte*>(raw.data());
-  return {begin, begin + raw.size()};
-}
-
-void write_bytes(const std::string& path, std::span<const std::byte> bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(ScanSession, SavedStoreHoldsNoHiveParseAndStaysFlatUnderRegistryChurn) {
-  machine::Machine m(small_config());
-  const auto set_setting = [&](int i) {
-    char data[32];
-    std::snprintf(data, sizeof data, "value %02d", i);
-    m.registry().set_value("HKLM\\SOFTWARE\\Contoso\\App",
-                           hive::Value::string("setting", data));
-  };
-  set_setting(0);
-  core::ScanConfig cfg;
-  cfg.parallelism = 1;
-  core::ScanEngine engine(m, cfg);
-  core::ScanSession session = engine.open_session();
-  const std::string path = ::testing::TempDir() + "/gb_registry_churn_store.bin";
-  (void)session.rescan();
-  ASSERT_TRUE(session.save(path).ok());
-  const std::vector<std::byte> primed = read_bytes(path);
-  const std::string_view regf = "regf";  // every hive's base-block magic
-  EXPECT_EQ(std::search(primed.begin(), primed.end(), regf.begin(),
-                        regf.end(),
-                        [](std::byte b, char c) {
-                          return b == static_cast<std::byte>(c);
-                        }),
-            primed.end());
-
-  // One SOFTWARE value change before each rescan: the flush rewrites the
-  // hive with new bytes every time, and nothing of it may accumulate.
-  for (int i = 1; i <= 40; ++i) {
-    set_setting(i);
-    (void)session.rescan();
-    ASSERT_TRUE(session.last_sync().incremental);
-    ASSERT_TRUE(session.save(path).ok());
-    EXPECT_EQ(read_bytes(path).size(), primed.size()) << "after change " << i;
-  }
-}
-
-TEST(ScanSession, VerifySplicedCatchesAForgedSlotInARestoredStore) {
-  machine::Machine m(small_config());
-  malware::install_ghostware<malware::HackerDefender>(m);
-  core::ScanConfig cfg;
-  cfg.parallelism = 1;
-  core::ScanEngine engine(m, cfg);
-  const std::string path = ::testing::TempDir() + "/gb_forged_slot_store.bin";
-  {
-    core::ScanSession session = engine.open_session();
-    (void)session.rescan();
-    ASSERT_TRUE(session.save(path).ok());
-  }
-
-  // Forge rcmd.exe's saved slot into a nameless one: kind kNoName and no
-  // node, but the real record's digest — a parse no device byte backs.
-  const auto boot = ntfs::read_boot_sector(m.disk()).value();
-  const auto record = ntfs::MftScanner(m.disk()).find("C:\\rcmd.exe");
-  ASSERT_TRUE(record.has_value());
-  std::vector<std::byte> image(ntfs::kMftRecordSize);
-  m.disk().read(boot.record_lba(*record), image);
-  ByteWriter saved;  // the slot's head as saved: record, kind, digest, name
-  saved.u32(static_cast<std::uint32_t>(*record));
-  saved.u8(static_cast<std::uint8_t>(ntfs::MftSlotKind::kLive));
-  saved.u64(support::fnv1a(image));
-  saved.u16(8);
-  saved.str("rcmd.exe");
-  std::vector<std::byte> store = read_bytes(path);
-  const auto head = saved.view();
-  const auto at =
-      std::search(store.begin(), store.end(), head.begin(), head.end());
-  ASSERT_NE(at, store.end());
-  // Name (2 + 8), parent (8), directory flag (1), attributes (4), stream
-  // count (2, no streams) and size (8); the index flag follows.
-  constexpr std::ptrdiff_t kNodeBytes = 2 + 8 + 8 + 1 + 4 + 2 + 8;
-  const auto node = at + 4 + 1 + 8;
-  ASSERT_EQ(node[kNodeBytes], std::byte{0});
-  at[4] = static_cast<std::byte>(ntfs::MftSlotKind::kNoName);
-  store.erase(node, node + kNodeBytes);
-  write_bytes(path, store);
-
-  core::SessionSpec spec;
-  spec.verify_spliced = true;
-  core::ScanSession paranoid = engine.open_session(spec);
-  ASSERT_TRUE(paranoid.restore(path).ok());
-  core::ScanSession trusting = engine.open_session();
-  ASSERT_TRUE(trusting.restore(path).ok());
-
-  const core::Report cold = cold_scan(m, 1);
-  ASSERT_EQ(cold.hidden_count(core::ResourceType::kFile), 4u);
-  const core::Report checked = paranoid.rescan();
-  EXPECT_FALSE(paranoid.last_sync().incremental);
-  EXPECT_EQ(paranoid.last_sync().fallback_reason, "digest mismatch");
-  EXPECT_EQ(normalize(checked.to_json()), normalize(cold.to_json()));
-
-  // A default session trusts a restored store as it trusts the journal:
-  // the forged slot hides rcmd.exe until the next full walk.
-  const core::Report trusted = trusting.rescan();
-  EXPECT_TRUE(trusting.last_sync().incremental);
-  EXPECT_EQ(trusted.hidden_count(core::ResourceType::kFile), 3u);
-}
-
-TEST(ScanSession, RestoreRejectsHugeSlotCountWithoutCrashing) {
-  // A store whose headers all validate but whose MFT slot count is a
-  // 4-billion lie. restore() must classify it as corrupt — the resize it
-  // implies could never be satisfied by the input — not die in bad_alloc.
-  ByteWriter w;
-  w.u32(0x53534247);  // store magic "GBSS"
-  w.u16(2);           // store version
-  w.u64(0);           // journal_id
-  w.u64(0);           // cursor
-  w.u8(1);            // primed
-  w.u32(0x50414E53);  // snapshot magic "SNAP"
-  w.u16(2);           // snapshot version
-  w.u64(0);           // mft_start_cluster
-  w.u32(4096);        // mft record count
-  w.u32(0xffffffff);  // slot count far beyond the bytes that follow
-  const std::string path = ::testing::TempDir() + "/gb_huge_count_store.bin";
-  write_bytes(path, w.view());
-
-  machine::Machine m(small_config());
-  core::ScanConfig cfg;
-  cfg.parallelism = 1;
-  core::ScanEngine engine(m, cfg);
-  core::ScanSession session = engine.open_session();
-  const auto st = session.restore(path);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), support::StatusCode::kCorrupt);
-}
-
-TEST(ScanSession, RestoreRejectsStoreFromAnotherVolume) {
-  machine::Machine big(small_config());
-  machine::MachineConfig small_cfg = small_config();
-  small_cfg.mft_records = 1024;
-  machine::Machine little(small_cfg);
-  core::ScanConfig cfg;
-  cfg.parallelism = 1;
-  const std::string path = ::testing::TempDir() + "/gb_foreign_store.bin";
-
-  core::ScanEngine big_engine(big, cfg);
-  core::ScanSession big_session = big_engine.open_session();
-  (void)big_session.rescan();
-  ASSERT_TRUE(big_session.save(path).ok());
-
-  core::ScanEngine little_engine(little, cfg);
-  core::ScanSession little_session = little_engine.open_session();
-  const auto st = little_session.restore(path);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), support::StatusCode::kCorrupt);
-
-  // And garbage on disk is rejected as garbage, not crashed on.
-  const std::string junk = ::testing::TempDir() + "/gb_junk_store.bin";
-  { std::ofstream(junk, std::ios::binary) << "not a snapshot store"; }
-  EXPECT_FALSE(little_session.restore(junk).ok());
 }
 
 // --- scheduler integration -------------------------------------------------
