@@ -696,8 +696,16 @@ int cmd_scan(int argc, char** argv, int first) {
       return 3;
     }
     auto& disk = *loaded;
-    const auto files = core::outside_file_scan(disk);
-    const auto aseps = core::outside_registry_scan(disk);
+    // One clean-boot mount, as the outside diff builds: both views read
+    // through it.
+    const auto mount = ntfs::CleanBootMount::open(disk);
+    if (!mount.ok()) {
+      std::fprintf(stderr, "image scan failed: %s\n",
+                   mount.status().to_string().c_str());
+      return 3;
+    }
+    const auto files = core::outside_file_scan(*mount);
+    const auto aseps = core::outside_registry_scan(*mount);
     if (!files.ok() || !aseps.ok()) {
       const auto& bad = files.ok() ? aseps.status() : files.status();
       std::fprintf(stderr, "image scan failed: %s\n",

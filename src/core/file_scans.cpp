@@ -1,9 +1,10 @@
 #include "core/file_scans.h"
 
-#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "support/strings.h"
 
@@ -126,38 +127,35 @@ support::StatusOr<ScanResult> index_file_scan(const ntfs::MftSnapshot& image) {
   return out;
 }
 
-support::StatusOr<ScanResult> outside_file_scan(disk::SectorDevice& dev) {
+support::StatusOr<ScanResult> outside_file_scan(
+    const ntfs::CleanBootMount& mount) {
   ScanResult out;
   out.view_name = "WinPE clean-boot scan";
   out.type = ResourceType::kFile;
   out.trust = TrustLevel::kTruth;
 
+  // Depth-first from the root. Each directory is listed once: an index
+  // that lists a directory twice (under itself, or under two parents)
+  // is corrupt, not a loop.
+  std::set<std::uint64_t> listed;
+  std::vector<std::pair<std::string, std::uint64_t>> pending{
+      {"C:", ntfs::kMftRecordRoot}};
   try {
-    // Fresh read-only mount: no hooks, no filters — and provably no
-    // writes to the evidence disk (not even the mount-sequence bump).
-    ntfs::NtfsVolume vol(dev, ntfs::MountMode::kReadOnly);
-    // Each directory is listed once: an index that lists a directory
-    // twice (under itself, or under two parents) is corrupt, not a loop.
-    std::set<std::uint64_t> listed;
-    std::function<void(const std::string&, std::uint64_t)> walk =
-        [&](const std::string& dir, std::uint64_t record) {
-          if (!listed.insert(record).second) {
-            throw ParseError("directory record " + std::to_string(record) +
-                             " is listed twice (" + printable(dir) + ")");
-          }
-          for (const auto& e : vol.list_directory(dir)) {
-            const std::string full = join_path(dir, e.name);
-            out.resources.push_back(Resource{file_key(full), printable(full)});
-            ++out.work.records_visited;
-            if (e.is_directory) walk(full, e.record);
-          }
-        };
-    walk("C:", ntfs::kMftRecordRoot);
+    while (!pending.empty()) {
+      const auto [dir, record] = std::move(pending.back());
+      pending.pop_back();
+      if (!listed.insert(record).second) {
+        throw ParseError("directory record " + std::to_string(record) +
+                         " is listed twice (" + printable(dir) + ")");
+      }
+      for (const auto& e : mount.list(record)) {
+        std::string full = join_path(dir, e.name);
+        out.resources.push_back(Resource{file_key(full), printable(full)});
+        ++out.work.records_visited;
+        if (e.is_directory) pending.emplace_back(std::move(full), e.record);
+      }
+    }
   } catch (const ParseError& e) {
-    return support::Status::corrupt(e.what());
-  } catch (const ntfs::FsError& e) {
-    // A listed name the path lookup cannot resolve again (one holding
-    // '\', say): the index and the names disagree.
     return support::Status::corrupt(e.what());
   }
   out.normalize();

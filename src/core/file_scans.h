@@ -5,7 +5,8 @@
 //   mft   — raw MFT listing of the live disk — truth approximation
 //   index — what the on-disk directory indexes reach — truth
 //           approximation, its own evidence (index blobs, not parent refs)
-//   outside — clean mount of the powered-off disk (WinPE boot) — truth
+//   outside — clean-boot mount of the powered-off disk (WinPE boot),
+//           shared with the outside hive view — truth
 //
 // The mft and index views read the scan's one MFT image (ntfs/snapshot.h),
 // which the engine builds before any view runs; they charge the simulated
@@ -22,9 +23,9 @@
 #pragma once
 
 #include "core/scan_result.h"
-#include "disk/disk.h"
 #include "machine/machine.h"
 #include "ntfs/snapshot.h"
+#include "ntfs/volume.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
 
@@ -61,11 +62,14 @@ namespace gb::core {
 [[nodiscard]] support::StatusOr<ScanResult> index_file_scan(
     const ntfs::MftSnapshot& image);
 
-/// Clean-boot scan of a (typically powered-off) disk: fresh read-only
-/// volume mount, full native enumeration — no ghostware code is running.
-/// kCorrupt when the mount rejects the disk (ntfs/volume.h), when a
-/// directory is reached twice (an index cycle), or when a listed name
-/// does not resolve again.
-[[nodiscard]] support::StatusOr<ScanResult> outside_file_scan(disk::SectorDevice& dev);
+/// Clean-boot scan of a powered-off disk through the capture's one
+/// clean-boot mount (ntfs/volume.h): a native enumeration of every
+/// directory the indexes reach from the root, with no ghostware code
+/// running. It reads each listed directory's index blob and each
+/// entry's record, nothing else. kCorrupt when the mount rejects an
+/// index blob or entry, or when a directory is reached twice (an index
+/// cycle).
+[[nodiscard]] support::StatusOr<ScanResult> outside_file_scan(
+    const ntfs::CleanBootMount& mount);
 
 }  // namespace gb::core

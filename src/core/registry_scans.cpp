@@ -1,6 +1,9 @@
 #include "core/registry_scans.h"
 
 #include <functional>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "hive/hive.h"
 #include "ntfs/mft_scanner.h"
@@ -71,27 +74,29 @@ void extract_asep_hooks(const AsepFetchers& f, ScanResult& out) {
   }
 }
 
+/// How a view opens a hive backing file by path: its payload, or nullopt
+/// when no such file exists, adding the seeks of the read to `seeks`.
+/// May throw on hostile bytes.
+using OpenBackingFile = std::function<std::optional<std::vector<std::byte>>(
+    const std::string& path, std::uint64_t& seeks)>;
+
 /// Loads the standard hives from raw disk bytes into an offline registry,
-/// in standard-mount order. The backing files resolve against the
-/// image's listing, so no hive costs another MFT walk. One unparseable
-/// hive fails the whole view with kCorrupt: a partial ASEP catalogue
-/// would silently miss hooks, which is worse than an honest degraded
-/// diff.
+/// in standard-mount order, opening each backing file with `open`. An
+/// absent file is skipped. One unparseable hive fails the whole view
+/// with kCorrupt: a partial ASEP catalogue would silently miss hooks,
+/// which is worse than an honest degraded diff.
 support::StatusOr<registry::ConfigurationManager> load_offline_registry(
-    disk::SectorDevice& dev, const ntfs::MftSnapshot& image,
-    machine::ScanWork& work) {
+    const OpenBackingFile& open, machine::ScanWork& work) {
   registry::ConfigurationManager offline;
   for (const auto& mount : registry::standard_hive_mounts()) {
-    const auto record =
-        ntfs::MftScanner::find_in(image.listing(), mount.backing_file);
-    if (!record) continue;  // hive file absent: skipped
     auto span = obs::default_tracer().span("hive.read", "parse");
     span.arg("file", mount.backing_file);
     support::StatusOr<hive::Key> tree;
     try {
-      const auto bytes = image.read_data(dev, *record, work.seeks);
-      work.bytes_read += bytes.size();
-      tree = hive::parse_hive_or(bytes);
+      const auto bytes = open(mount.backing_file, work.seeks);
+      if (!bytes) continue;
+      work.bytes_read += bytes->size();
+      tree = hive::parse_hive_or(*bytes);
     } catch (const std::exception& e) {  // hostile record or run list
       tree = support::Status::corrupt(e.what());
     }
@@ -157,8 +162,16 @@ support::StatusOr<ScanResult> low_level_registry_scan(
 
   // The flush that made the backing files current is why this is a
   // truth *approximation*: privileged ghostware could in principle
-  // tamper with the copy path.
-  auto offline = load_offline_registry(dev, image, out.work);
+  // tamper with the copy path. The backing files resolve against the
+  // image's listing, so no hive costs another MFT walk.
+  auto offline = load_offline_registry(
+      [&](const std::string& path,
+          std::uint64_t& seeks) -> std::optional<std::vector<std::byte>> {
+        const auto record = ntfs::MftScanner::find_in(image.listing(), path);
+        if (!record) return std::nullopt;
+        return image.read_data(dev, *record, seeks);
+      },
+      out.work);
   if (!offline.ok()) return offline.status();
   extract_asep_hooks(offline_fetchers(*offline), out);
   // The backing-file lookup is charged as the raw walk that locates
@@ -178,15 +191,18 @@ support::StatusOr<ScanResult> low_level_registry_scan(machine::Machine& m,
 }
 
 support::StatusOr<ScanResult> outside_registry_scan(
-    disk::SectorDevice& dev, support::ThreadPool* pool) {
+    const ntfs::CleanBootMount& mount) {
   ScanResult out;
   out.view_name = "WinPE mounted-hive scan";
   out.type = ResourceType::kAsepHook;
   out.trust = TrustLevel::kTruth;
 
-  auto image = ntfs::MftSnapshot::capture(dev, pool);
-  if (!image.ok()) return image.status();
-  auto offline = load_offline_registry(dev, *image, out.work);
+  // The clean OS opens each hive file by path through its mount.
+  auto offline = load_offline_registry(
+      [&mount](const std::string& path, std::uint64_t& seeks) {
+        return mount.read_file(path, seeks);
+      },
+      out.work);
   if (!offline.ok()) return offline.status();
   extract_asep_hooks(offline_fetchers(*offline), out);
   out.normalize();

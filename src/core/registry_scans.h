@@ -6,11 +6,15 @@
 //            scan's MFT image and read straight from the disk below every
 //            API layer — truth approximation
 //   outside — hive files parsed from the powered-off disk (the paper
-//            mounts them under the WinPE registry) — truth
+//            mounts them under the WinPE registry), opened by path
+//            through the capture's clean-boot mount — truth
 //
-// Both raw views locate the hive files in an MFT image (ntfs/snapshot.h)
-// and read and parse each payload from the disk on every scan; one
-// loader serves both. No parse outlives its scan, so a session rescan
+// One loader serves both raw views; each passes in how it opens a
+// backing file. The live view locates the files in the scan's MFT image
+// (ntfs/snapshot.h), the outside view resolves their paths through the
+// directory indexes of the clean-boot mount (ntfs/volume.h). Both read
+// and parse each payload from the disk on every scan, and charge the
+// same seeks for it. No parse outlives its scan, so a session rescan
 // reads the hives exactly as a cold scan does.
 //
 // All scans return StatusOr: a torn or scrubbed hive is kCorrupt and
@@ -21,6 +25,7 @@
 #include "disk/disk.h"
 #include "machine/machine.h"
 #include "ntfs/snapshot.h"
+#include "ntfs/volume.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
 
@@ -43,10 +48,11 @@ namespace gb::core {
     machine::Machine& m, support::ThreadPool* pool = nullptr,
     bool flush_hives = true);
 
-/// The outside hive view: builds its own MFT image of the powered-off
-/// disk (the outside phase's only MFT reader) and parses the hives it
-/// locates there. No walk charge: the clean environment's mount is free.
+/// The outside hive view: opens the hive files by path through the
+/// capture's clean-boot mount of the powered-off disk, which the file
+/// view shares, and parses them. Charges the payload bytes and seeks; no
+/// walk charge, since the clean environment's lookups are free.
 [[nodiscard]] support::StatusOr<ScanResult> outside_registry_scan(
-    disk::SectorDevice& dev, support::ThreadPool* pool = nullptr);
+    const ntfs::CleanBootMount& mount);
 
 }  // namespace gb::core

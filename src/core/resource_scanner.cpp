@@ -42,6 +42,21 @@ auto over_image(View view) {
   };
 }
 
+/// Adapts a view over the capture's clean-boot mount to ViewDef::run: a
+/// disk the mount rejects fails the view with the mount's Status.
+template <typename View>
+auto over_mount(View view) {
+  return [view](const ScanTaskContext&,
+                const OutsideSources* src) -> support::StatusOr<ScanResult> {
+    if (src == nullptr || src->mount == nullptr) {
+      return support::Status::failed_precondition(
+          "no clean-boot mount in capture");
+    }
+    if (!src->mount->ok()) return src->mount->status();
+    return view(src->mount->value());
+  };
+}
+
 class FileScanner final : public ResourceScanner {
  public:
   ResourceType type() const override { return ResourceType::kFile; }
@@ -58,9 +73,9 @@ class FileScanner final : public ResourceScanner {
       // models what a WinPE boot can see, so index-unlinked files stay
       // invisible to it and only the raw views expose them.
       return {ViewDef{"disk", TrustLevel::kTruth, false,
-                      [](const ScanTaskContext&, const OutsideSources* src) {
-                        return outside_file_scan(src->disk);
-                      }}};
+                      over_mount([](const ntfs::CleanBootMount& mount) {
+                        return outside_file_scan(mount);
+                      })}};
     }
     return {ViewDef{"index", TrustLevel::kTruthApproximation, false,
                     over_image([](const ScanTaskContext&,
@@ -90,9 +105,9 @@ class AsepScanner final : public ResourceScanner {
                                      const ScanConfig&) const override {
     if (phase == ScanPhase::kOutside) {
       return {ViewDef{"hive", TrustLevel::kTruth, false,
-                      [](const ScanTaskContext& t, const OutsideSources* src) {
-                        return outside_registry_scan(src->disk, t.pool);
-                      }}};
+                      over_mount([](const ntfs::CleanBootMount& mount) {
+                        return outside_registry_scan(mount);
+                      })}};
     }
     // The engine flushed the hives (or was told not to) before any task
     // started; never flush from inside a concurrent task.

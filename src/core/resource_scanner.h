@@ -14,8 +14,9 @@
 //                      both over the scan's MFT image
 //             outside: disk  (WinPE clean-boot enumeration)
 //   aseps     live:    hive  (low-level hive parse, located in the image)
-//             outside: hive  (hive files on the powered-off disk, located
-//                      in the image that view builds of it)
+//             outside: hive  (hive files on the powered-off disk, opened
+//                      by path; it and the outside disk view read
+//                      through the capture's one clean-boot mount)
 //   processes live:    active-list [, threads] [, carve]
 //             outside: threads (dump traversal), carve (signature sweep
 //                      of the raw dump bytes — works even when the dump
@@ -40,6 +41,7 @@
 #include "kernel/dump.h"
 #include "machine/machine.h"
 #include "ntfs/snapshot.h"
+#include "ntfs/volume.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
 
@@ -64,11 +66,16 @@ struct ScanTaskContext {
 };
 
 /// Inputs available to the outside-the-box (clean environment) views:
-/// the powered-off disk, the parsed blue-screen dump when the capture
-/// produced one, and the dump's *raw bytes* — kept even when parsing
-/// failed, so the signature carve can still sweep a scrubbed image.
+/// the clean-boot mount of the powered-off disk, the parsed blue-screen
+/// dump when the capture produced one, and the dump's *raw bytes* — kept
+/// even when parsing failed, so the signature carve can still sweep a
+/// scrubbed image.
 struct OutsideSources {
-  disk::SectorDevice& disk;
+  /// The mount — or why the disk does not mount — built by the engine
+  /// once per outside diff, before any task; the file and hive views
+  /// both read through it, as the inside views share
+  /// ScanTaskContext::mft.
+  const support::StatusOr<ntfs::CleanBootMount>* mount = nullptr;
   const kernel::KernelDump* dump = nullptr;
   std::span<const std::byte> dump_bytes;
   /// Why `dump` is absent/unparsed when the capture wanted one; OK when

@@ -749,8 +749,11 @@ support::StatusOr<Report> ScanEngine::diff_capture(const InsideCapture& cap,
   const auto t0 = SteadyClock::now();
   auto run_span = obs::default_tracer().span("engine.outside_diff", "engine");
   const ScanTaskContext tctx{machine_, &pool_, cfg_};
-  const OutsideSources sources{machine_.disk(),
-                               cap.dump ? &*cap.dump : nullptr,
+  // The clean OS mounts the powered-off disk once, reading only its boot
+  // sector and root record; the file and hive views list and open
+  // through that one mount concurrently.
+  const auto mount = ntfs::CleanBootMount::open(machine_.disk());
+  const OutsideSources sources{&mount, cap.dump ? &*cap.dump : nullptr,
                                cap.dump_bytes, cap.dump_status};
 
   // Slot i diffs a capture entry against the clean views of the first

@@ -1,6 +1,7 @@
 #include "kernel/carve.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "kernel/dump_format.h"
@@ -38,11 +39,24 @@ bool carve_candidate(std::span<const std::byte> image, std::size_t off,
   return true;
 }
 
-bool tag_at(std::span<const std::byte> image, std::size_t off) {
-  for (std::size_t i = 0; i < internal::kRecordTag.size(); ++i) {
-    if (image[off + i] != internal::kRecordTag[i]) return false;
+/// The first offset in [from, end) whose bytes spell the record tag, or
+/// `end`. Every such offset must leave room for the whole tag in
+/// `image`. memchr skips to each candidate first byte.
+std::size_t next_tag(std::span<const std::byte> image, std::size_t from,
+                     std::size_t end) {
+  const auto first = static_cast<unsigned char>(internal::kRecordTag[0]);
+  while (from < end) {
+    const void* hit = std::memchr(image.data() + from, first, end - from);
+    if (hit == nullptr) return end;
+    from = static_cast<std::size_t>(static_cast<const std::byte*>(hit) -
+                                    image.data());
+    if (std::memcmp(image.data() + from, internal::kRecordTag.data(),
+                    internal::kRecordTag.size()) == 0) {
+      return from;
+    }
+    ++from;
   }
-  return true;
+  return end;
 }
 
 /// Directory offsets, best-effort: used only to label recovered records
@@ -124,8 +138,8 @@ support::StatusOr<CarveResult> carve_dump(std::span<const std::byte> image,
     ChunkOut& out = outs[c];
     const std::size_t begin = c * chunk;
     const std::size_t end = std::min(begin + chunk, sweep_end);
-    for (std::size_t off = begin; off < end; ++off) {
-      if (!tag_at(image, off)) continue;
+    for (std::size_t off = next_tag(image, begin, end); off < end;
+         off = next_tag(image, off + 1, end)) {
       ++out.candidates;
       if (!carve_candidate(image, off, out.processes)) ++out.rejected;
     }
@@ -148,10 +162,11 @@ support::StatusOr<CarveResult> carve_dump(std::span<const std::byte> image,
   result.stats.recovered =
       static_cast<std::uint32_t>(result.processes.size());
 
-  const std::vector<std::uint64_t> directory = read_directory(image);
+  std::vector<std::uint64_t> directory = read_directory(image);
+  std::sort(directory.begin(), directory.end());
   for (auto& p : result.processes) {
-    p.referenced = std::find(directory.begin(), directory.end(), p.offset) !=
-                   directory.end();
+    p.referenced =
+        std::binary_search(directory.begin(), directory.end(), p.offset);
   }
   return result;
 }

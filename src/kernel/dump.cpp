@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "kernel/dump_format.h"
 #include "obs/trace.h"
@@ -18,6 +20,16 @@ void write_str(ByteWriter& w, std::string_view s) {
 std::string read_str(ByteReader& r) {
   const std::uint16_t len = r.u16();
   return r.str(len);
+}
+
+/// Each pid's first process image in `processes`: a dump may carry a pid
+/// twice, and the first record wins.
+std::unordered_map<Pid, const KernelDump::ProcessImage*> index_by_pid(
+    const std::vector<KernelDump::ProcessImage>& processes) {
+  std::unordered_map<Pid, const KernelDump::ProcessImage*> by_pid;
+  by_pid.reserve(processes.size());
+  for (const auto& p : processes) by_pid.try_emplace(p.pid, &p);
+  return by_pid;
 }
 
 /// Reads the fixed sections between the length header and the record
@@ -129,35 +141,31 @@ KernelDump::ProcessImage parse_process_payload(ByteReader& r) {
 }  // namespace internal
 
 std::vector<ProcessInfo> KernelDump::active_view() const {
+  const auto by_pid = index_by_pid(processes);
   std::vector<ProcessInfo> out;
   for (const Pid pid : active_list) {
-    if (const ProcessImage* p = find(pid)) {
-      out.push_back(ProcessInfo{p->pid, p->parent_pid, p->image_name});
+    if (const auto it = by_pid.find(pid); it != by_pid.end()) {
+      const ProcessImage& p = *it->second;
+      out.push_back(ProcessInfo{p.pid, p.parent_pid, p.image_name});
     }
   }
   return out;
 }
 
 std::vector<ProcessInfo> KernelDump::thread_view() const {
+  // Linear in threads + processes: one pass to index the processes, one
+  // over the threads, each owner taken once, in first-thread order.
+  const auto by_pid = index_by_pid(processes);
+  std::unordered_set<Pid> seen;
   std::vector<ProcessInfo> out;
-  std::vector<Pid> seen;
   for (const Thread& t : threads) {
-    if (std::find(seen.begin(), seen.end(), t.owner_pid) != seen.end()) {
-      continue;
-    }
-    seen.push_back(t.owner_pid);
-    if (const ProcessImage* p = find(t.owner_pid)) {
-      out.push_back(ProcessInfo{p->pid, p->parent_pid, p->image_name});
+    if (!seen.insert(t.owner_pid).second) continue;
+    if (const auto it = by_pid.find(t.owner_pid); it != by_pid.end()) {
+      const ProcessImage& p = *it->second;
+      out.push_back(ProcessInfo{p.pid, p.parent_pid, p.image_name});
     }
   }
   return out;
-}
-
-const KernelDump::ProcessImage* KernelDump::find(Pid pid) const {
-  for (const auto& p : processes) {
-    if (p.pid == pid) return &p;
-  }
-  return nullptr;
 }
 
 std::vector<std::byte> serialize_dump(const KernelDump& dump) {

@@ -43,9 +43,8 @@ struct KernelDump {
   /// Processes as seen by walking the dumped Active Process List.
   std::vector<ProcessInfo> active_view() const;
   /// Processes reconstructed from the dumped thread table (finds
-  /// DKOM-unlinked processes).
+  /// DKOM-unlinked processes), one per owning pid in first-thread order.
   std::vector<ProcessInfo> thread_view() const;
-  const ProcessImage* find(Pid pid) const;
 };
 
 /// Serializes the kernel's current state ("MEMORY.DMP").

@@ -1,10 +1,11 @@
 // MftSnapshot: the one parsed image of a volume's MFT.
 //
-// Every view that reads the MFT reads this image: the live mft, index
+// Every live view that reads the MFT reads this image: the mft, index
 // and hive views (the engine builds it once per inside or injected scan,
-// after the hive flush and before any view task) and the outside hive
-// view (which builds its own of the captured disk). A session keeps its
-// image between scans and refreshes it from the change journal.
+// after the hive flush and before any view task). The outside views
+// read no image: they list and open through the capture's clean-boot
+// mount (ntfs/volume.h). A session keeps its image between scans and
+// refreshes it from the change journal.
 //
 // A free slot (never used, or tombstoned) costs nothing: its liveness is
 // all the listing and the cost model read of it. A live-looking slot

@@ -1,6 +1,7 @@
 #include "ntfs/volume.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "ntfs/dir_index.h"
@@ -46,6 +47,86 @@ std::uint64_t journal_incarnation_id(std::uint64_t serial,
   h *= 0x94D049BB133111EBull;
   h ^= h >> 31;
   return h;
+}
+
+/// The driver's boot-sector parse, shared by both mounts: `sector` is
+/// the boot sector of a device of `device_sectors` sectors. Nothing is
+/// sized from a count the device cannot hold.
+VolumeGeometry parse_geometry(std::span<const std::byte> sector,
+                              std::uint64_t device_sectors) {
+  ByteReader r(sector);
+  r.seek(BootSectorLayout::kOemOffset);
+  if (r.str(8) != std::string(kOemId, sizeof kOemId)) {
+    throw ParseError("not an NTFS volume (bad OEM id)");
+  }
+  r.seek(BootSectorLayout::kTotalSectors);
+  VolumeGeometry geo;
+  geo.total_clusters = r.u64() / kSectorsPerCluster;
+  geo.mft_start_cluster = r.u64();
+  geo.mft_record_count = r.u32();
+  geo.bitmap_start_cluster = r.u64();
+  geo.bitmap_cluster_count = r.u32();
+  const std::uint64_t device_clusters = device_sectors / kSectorsPerCluster;
+  const std::uint64_t mft_clusters =
+      clusters_for(std::uint64_t{geo.mft_record_count} * kMftRecordSize);
+  if (geo.mft_start_cluster > device_clusters ||
+      mft_clusters > device_clusters - geo.mft_start_cluster) {
+    throw ParseError("MFT extent beyond the device (start cluster " +
+                     std::to_string(geo.mft_start_cluster) + ", " +
+                     std::to_string(geo.mft_record_count) + " records)");
+  }
+  if (geo.bitmap_start_cluster > device_clusters ||
+      geo.bitmap_cluster_count > device_clusters - geo.bitmap_start_cluster) {
+    throw ParseError("cluster bitmap beyond the device (start cluster " +
+                     std::to_string(geo.bitmap_start_cluster) + ", " +
+                     std::to_string(geo.bitmap_cluster_count) + " clusters)");
+  }
+  return geo;
+}
+
+/// The root rule, shared by both mounts: `root` (record 5; null when the
+/// MFT has no such slot or it is not live) must be a live directory.
+const MftRecord& checked_root(const MftRecord* root) {
+  if (root == nullptr || !root->is_directory()) {
+    throw ParseError("root directory (record " +
+                     std::to_string(kMftRecordRoot) +
+                     ") is not a live directory");
+  }
+  return *root;
+}
+
+/// The index-entry rule, shared by both mounts: an entry of directory
+/// record `dir` must name a record below `capacity` that `load` finds
+/// live, parsed and carrying a FILE_NAME. `load` is asked only for an
+/// in-range record; what it returns is pointer-like (null when the slot
+/// is not live) and is returned. Throws ParseError naming both records,
+/// also when `load` throws one for a record that does not parse.
+template <typename Load>
+auto indexed_record(std::uint64_t dir, std::uint64_t entry,
+                    std::uint64_t capacity, Load load) {
+  const auto where = [&] {
+    return "directory record " + std::to_string(dir) + " indexes record " +
+           std::to_string(entry);
+  };
+  if (entry < capacity) {
+    try {
+      auto rec = load(entry);
+      if (rec && rec->file_name) return rec;
+    } catch (const ParseError& e) {
+      throw ParseError(where() + ", which does not parse: " + e.what());
+    }
+  }
+  throw ParseError(where() + ", which is not a live named record");
+}
+
+DirEntry dir_entry(std::uint64_t record, const MftRecord& rec) {
+  DirEntry e;
+  e.name = rec.file_name->name;  // original case
+  e.record = record;
+  e.is_directory = rec.is_directory();
+  e.size = rec.data ? rec.data->real_size : 0;
+  e.attributes = rec.std_info ? rec.std_info->file_attributes : 0;
+  return e;
 }
 
 }  // namespace
@@ -140,71 +221,39 @@ void NtfsVolume::format(disk::SectorDevice& dev,
   write_record(bm);
 }
 
-NtfsVolume::NtfsVolume(disk::SectorDevice& dev, MountMode mode)
-    : dev_(dev), read_only_(mode == MountMode::kReadOnly) {
-  // Parse boot sector.
+NtfsVolume::NtfsVolume(disk::SectorDevice& dev) : dev_(dev) {
   std::vector<std::byte> bs(kSectorSize);
   dev_.read(0, bs);
-  ByteReader r(bs);
-  r.seek(BootSectorLayout::kOemOffset);
-  if (r.str(8) != std::string(kOemId, sizeof kOemId)) {
-    throw ParseError("not an NTFS volume (bad OEM id)");
-  }
-  r.seek(BootSectorLayout::kTotalSectors);
-  const std::uint64_t total_sectors = r.u64();
-  mft_start_cluster_ = r.u64();
-  mft_record_count_ = r.u32();
-  bitmap_start_cluster_ = r.u64();
-  bitmap_cluster_count_ = r.u32();
-  total_clusters_ = total_sectors / kSectorsPerCluster;
-  const std::uint64_t serial = r.u64();
-  // Nothing below is sized from a count the device cannot hold.
-  const std::uint64_t device_clusters =
-      dev_.sector_count() / kSectorsPerCluster;
-  const std::uint64_t mft_clusters = clusters_for(
-      std::uint64_t{mft_record_count_} * kMftRecordSize);
-  if (mft_start_cluster_ > device_clusters ||
-      mft_clusters > device_clusters - mft_start_cluster_) {
-    throw ParseError("MFT extent beyond the device (start cluster " +
-                     std::to_string(mft_start_cluster_) + ", " +
-                     std::to_string(mft_record_count_) + " records)");
-  }
-  if (bitmap_start_cluster_ > device_clusters ||
-      bitmap_cluster_count_ > device_clusters - bitmap_start_cluster_) {
-    throw ParseError("cluster bitmap beyond the device (start cluster " +
-                     std::to_string(bitmap_start_cluster_) + ", " +
-                     std::to_string(bitmap_cluster_count_) + " clusters)");
-  }
+  geo_ = parse_geometry(bs, dev_.sector_count());
   // Bump the on-device mount sequence and derive this incarnation's
   // journal id from (serial, sequence): deterministic (no wall clock, no
   // randomness) yet never reused, so a cursor from a previous mount can
   // only ever hit the "journal reset" fallback — it cannot alias into
-  // this incarnation's USN space and splice stale records. A read-only
-  // mount skips the bump (it must not touch the device); its journal is
-  // inert anyway, since every mutation throws before journaling.
+  // this incarnation's USN space and splice stale records.
+  ByteReader r(bs);
+  r.seek(BootSectorLayout::kSerial);
+  const std::uint64_t serial = r.u64();
   r.seek(BootSectorLayout::kJournalSeq);
   const std::uint64_t mount_seq = r.u64() + 1;
-  if (!read_only_) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      bs[BootSectorLayout::kJournalSeq + i] =
-          static_cast<std::byte>((mount_seq >> (8 * i)) & 0xff);
-    }
-    dev_.write(0, bs);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bs[BootSectorLayout::kJournalSeq + i] =
+        static_cast<std::byte>((mount_seq >> (8 * i)) & 0xff);
   }
+  dev_.write(0, bs);
   journal_.reset(journal_incarnation_id(serial, mount_seq));
 
   // Load bitmap.
   std::vector<std::byte> raw_bitmap(
-      static_cast<std::size_t>(bitmap_cluster_count_) * kClusterSize);
-  dev_.read(bitmap_start_cluster_ * kSectorsPerCluster, raw_bitmap);
+      static_cast<std::size_t>(geo_.bitmap_cluster_count) * kClusterSize);
+  dev_.read(geo_.bitmap_start_cluster * kSectorsPerCluster, raw_bitmap);
   bitmap_.resize(raw_bitmap.size());
   std::memcpy(bitmap_.data(), raw_bitmap.data(), raw_bitmap.size());
 
   // Load all MFT records.
-  records_.resize(mft_record_count_);
+  records_.resize(geo_.mft_record_count);
   std::vector<std::byte> image(kMftRecordSize);
-  for (std::uint64_t i = 0; i < mft_record_count_; ++i) {
-    dev_.read(mft_lba(i), image);
+  for (std::uint64_t i = 0; i < geo_.mft_record_count; ++i) {
+    dev_.read(geo_.mft_lba(i), image);
     if (!MftRecord::looks_live(image)) {
       if (i >= kFirstUserRecord) free_records_.push_back(i);
       continue;
@@ -217,28 +266,22 @@ NtfsVolume::NtfsVolume(disk::SectorDevice& dev, MountMode mode)
   }
   // Free list should hand out low record numbers first for determinism.
   std::reverse(free_records_.begin(), free_records_.end());
-  if (mft_record_count_ <= kMftRecordRoot || !records_[kMftRecordRoot] ||
-      !records_[kMftRecordRoot]->is_directory()) {
-    throw ParseError("root directory (record " +
-                     std::to_string(kMftRecordRoot) +
-                     ") is not a live directory");
-  }
+  const auto loaded = [this](std::uint64_t record) -> const MftRecord* {
+    return records_[record] ? &*records_[record] : nullptr;
+  };
+  checked_root(geo_.mft_record_count > kMftRecordRoot ? loaded(kMftRecordRoot)
+                                                      : nullptr);
 
   // Build directory membership from the on-disk index attributes (the
   // authoritative enumeration source). An entry must name a live record
   // with a FILE_NAME: listing a directory reads both.
-  for (std::uint64_t i = 0; i < mft_record_count_; ++i) {
+  for (std::uint64_t i = 0; i < geo_.mft_record_count; ++i) {
     if (!records_[i] || !records_[i]->is_directory() || !records_[i]->index) {
       continue;
     }
     const auto blob = read_attr_payload(dev_, *records_[i]->index);
     for (const auto& e : decode_index_entries(blob)) {
-      if (e.record >= mft_record_count_ || !records_[e.record] ||
-          !records_[e.record]->file_name) {
-        throw ParseError("directory record " + std::to_string(i) +
-                         " indexes record " + std::to_string(e.record) +
-                         ", which is not a live named record");
-      }
+      indexed_record(i, e.record, geo_.mft_record_count, loaded);
       children_[i][fold_case(e.name)] = e.record;
     }
   }
@@ -246,18 +289,13 @@ NtfsVolume::NtfsVolume(disk::SectorDevice& dev, MountMode mode)
   // attribute at all (e.g. images written before indexes existed). A
   // parent that HAS an index but omits the record is intentional — that
   // is the data-only hiding this design exposes to the raw scan.
-  for (std::uint64_t i = kFirstUserRecord; i < mft_record_count_; ++i) {
+  for (std::uint64_t i = kFirstUserRecord; i < geo_.mft_record_count; ++i) {
     if (!records_[i] || !records_[i]->file_name) continue;
     const auto parent = records_[i]->file_name->parent_ref;
     if (parent >= records_.size() || !records_[parent]) continue;
     if (records_[parent]->index) continue;
     children_[parent][fold_case(records_[i]->file_name->name)] = i;
   }
-}
-
-std::uint64_t NtfsVolume::mft_lba(std::uint64_t record) const {
-  return mft_start_cluster_ * kSectorsPerCluster +
-         record * (kMftRecordSize / kSectorSize);
 }
 
 void NtfsVolume::link_child(std::uint64_t parent, std::string_view name,
@@ -320,7 +358,6 @@ void NtfsVolume::free_attr_clusters(DataAttr& attr) {
 }
 
 std::uint64_t NtfsVolume::index_unlink(std::string_view path) {
-  ensure_writable();
   const std::uint64_t rec_no = resolve(path);
   if (rec_no < kFirstUserRecord) throw FsError("cannot unlink system file");
   const MftRecord& rec = *records_[rec_no];
@@ -329,7 +366,6 @@ std::uint64_t NtfsVolume::index_unlink(std::string_view path) {
 }
 
 bool NtfsVolume::index_relink(std::uint64_t record_number) {
-  ensure_writable();
   if (record_number >= records_.size() || !records_[record_number] ||
       !records_[record_number]->file_name) {
     return false;
@@ -394,14 +430,7 @@ std::vector<DirEntry> NtfsVolume::list_directory(std::string_view path) const {
   auto it = children_.find(dir);
   if (it == children_.end()) return out;
   for (const auto& [folded, rec_no] : it->second) {
-    const MftRecord& rec = *records_[rec_no];
-    DirEntry e;
-    e.name = rec.file_name->name;  // original case
-    e.record = rec_no;
-    e.is_directory = rec.is_directory();
-    e.size = rec.data ? rec.data->real_size : 0;
-    e.attributes = rec.std_info ? rec.std_info->file_attributes : 0;
-    out.push_back(std::move(e));
+    out.push_back(dir_entry(rec_no, *records_[rec_no]));
   }
   return out;  // map iteration is already folded-name order
 }
@@ -417,7 +446,6 @@ std::vector<std::byte> NtfsVolume::read_file(std::string_view path) const {
 void NtfsVolume::write_file(std::string_view path,
                             std::span<const std::byte> data,
                             std::uint32_t attributes) {
-  ensure_writable();
   const auto comps = components(path);
   if (comps.empty()) throw FsError("empty path");
   const std::string& name = comps.back();
@@ -490,7 +518,6 @@ void NtfsVolume::append_file(std::string_view path, std::string_view text) {
 }
 
 void NtfsVolume::create_directories(std::string_view path) {
-  ensure_writable();
   std::uint64_t parent = kMftRecordRoot;
   for (const auto& comp : components(path)) {
     if (auto next = child(parent, comp)) {
@@ -544,7 +571,6 @@ void NtfsVolume::remove_one(std::uint64_t rec_no, std::uint64_t parent,
 }
 
 void NtfsVolume::remove(std::string_view path) {
-  ensure_writable();
   const std::uint64_t rec_no = resolve(path);
   if (rec_no < kFirstUserRecord) throw FsError("cannot remove system file");
   const MftRecord& rec = *records_[rec_no];
@@ -576,14 +602,12 @@ void NtfsVolume::remove_recursive(std::string_view path) {
 
 void NtfsVolume::set_attributes(std::string_view path,
                                 std::uint32_t attributes) {
-  ensure_writable();
   const std::uint64_t rec_no = resolve(path);
   records_[rec_no]->std_info->file_attributes = attributes;
   store_record(rec_no, disk::UsnReason::kAttrChange);
 }
 
 void NtfsVolume::rename(std::string_view old_path, std::string_view new_path) {
-  ensure_writable();
   const std::uint64_t rec_no = resolve(old_path);
   if (rec_no < kFirstUserRecord) throw FsError("cannot rename system file");
 
@@ -628,7 +652,6 @@ void NtfsVolume::rename(std::string_view old_path, std::string_view new_path) {
 void NtfsVolume::write_stream(std::string_view path,
                               std::string_view stream_name,
                               std::span<const std::byte> data) {
-  ensure_writable();
   if (stream_name.empty()) throw FsError("empty stream name");
   const std::uint64_t rec_no = resolve(path);
   MftRecord& rec = *records_[rec_no];
@@ -682,7 +705,6 @@ std::vector<std::string> NtfsVolume::list_streams(std::string_view path) const {
 
 bool NtfsVolume::remove_stream(std::string_view path,
                                std::string_view stream_name) {
-  ensure_writable();
   const std::uint64_t rec_no = resolve(path);
   MftRecord& rec = *records_[rec_no];
   for (auto it = rec.named_streams.begin(); it != rec.named_streams.end();
@@ -719,10 +741,6 @@ std::uint64_t NtfsVolume::used_data_bytes() const {
   return total;
 }
 
-void NtfsVolume::ensure_writable() const {
-  if (read_only_) throw FsError("volume is mounted read-only");
-}
-
 std::uint64_t NtfsVolume::allocate_record() {
   if (free_records_.empty()) throw FsError("MFT full");
   const std::uint64_t rec = free_records_.back();
@@ -731,7 +749,6 @@ std::uint64_t NtfsVolume::allocate_record() {
 }
 
 void NtfsVolume::store_record(std::uint64_t number, disk::UsnReason reason) {
-  ensure_writable();
   std::vector<std::byte> image;
   if (records_[number]) {
     image = records_[number]->serialize();
@@ -740,7 +757,7 @@ void NtfsVolume::store_record(std::uint64_t number, disk::UsnReason reason) {
     // the caller, or zero if never used. No device write, no journal entry.
     return;
   }
-  dev_.write(mft_lba(number), image);
+  dev_.write(geo_.mft_lba(number), image);
   journal_.append(number, reason);
 }
 
@@ -760,7 +777,7 @@ RunList NtfsVolume::allocate_clusters(std::uint64_t count) {
   std::uint64_t remaining = count;
   std::uint64_t run_start = 0;
   std::uint64_t run_len = 0;
-  for (std::uint64_t c = 0; c < total_clusters_ && remaining > 0; ++c) {
+  for (std::uint64_t c = 0; c < geo_.total_clusters && remaining > 0; ++c) {
     const bool used = bitmap_[c / 8] & (1u << (c % 8));
     if (!used) {
       bitmap_[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
@@ -788,7 +805,6 @@ RunList NtfsVolume::allocate_clusters(std::uint64_t count) {
 
 void NtfsVolume::write_clusters(const RunList& runs,
                                 std::span<const std::byte> data) {
-  ensure_writable();
   std::size_t offset = 0;
   std::vector<std::byte> cluster(kClusterSize);
   for (const Run& run : runs) {
@@ -803,10 +819,103 @@ void NtfsVolume::write_clusters(const RunList& runs,
 }
 
 void NtfsVolume::flush_bitmap() {
-  ensure_writable();
   std::vector<std::byte> raw(bitmap_.size());
   std::memcpy(raw.data(), bitmap_.data(), bitmap_.size());
-  dev_.write(bitmap_start_cluster_ * kSectorsPerCluster, raw);
+  dev_.write(geo_.bitmap_start_cluster * kSectorsPerCluster, raw);
+}
+
+// --- CleanBootMount --------------------------------------------------------
+
+CleanBootMount::CleanBootMount(disk::SectorDevice& dev,
+                               const VolumeGeometry& geo)
+    : dev_(dev), geo_(geo) {}
+
+support::StatusOr<CleanBootMount> CleanBootMount::open(
+    disk::SectorDevice& dev) {
+  try {
+    std::array<std::byte, kSectorSize> bs{};
+    dev.read(0, bs);
+    CleanBootMount mount(dev, parse_geometry(bs, dev.sector_count()));
+    std::optional<MftRecord> root;
+    if (mount.geo_.mft_record_count > kMftRecordRoot) {
+      root = mount.load(dev, kMftRecordRoot);
+    }
+    mount.root_ = checked_root(root ? &*root : nullptr);
+    return mount;
+  } catch (const std::exception& e) {  // ParseError, or a device too small
+    return support::Status::corrupt(e.what());
+  }
+}
+
+std::optional<MftRecord> CleanBootMount::load(disk::SectorDevice& dev,
+                                              std::uint64_t record) const {
+  std::array<std::byte, kMftRecordSize> image{};
+  dev.read(geo_.mft_lba(record), image);
+  if (!MftRecord::looks_live(image)) return std::nullopt;
+  try {
+    return MftRecord::parse(image);
+  } catch (const ParseError& e) {
+    throw ParseError("MFT record " + std::to_string(record) + ": " + e.what());
+  }
+}
+
+std::vector<IndexEntry> CleanBootMount::entries(std::uint64_t dir,
+                                                const MftRecord& rec) const {
+  if (!rec.index) return {};  // an index-less directory lists nothing
+  try {
+    return decode_index_entries(read_attr_payload(dev_, *rec.index));
+  } catch (const ParseError& e) {
+    throw ParseError("index of directory record " + std::to_string(dir) +
+                     ": " + e.what());
+  }
+}
+
+std::vector<DirEntry> CleanBootMount::list(std::uint64_t dir) const {
+  std::optional<MftRecord> rec;
+  if (dir == kMftRecordRoot) {
+    rec = root_;
+  } else if (dir < geo_.mft_record_count) {
+    rec = load(dev_, dir);
+  }
+  if (!rec || !rec->is_directory()) {
+    throw ParseError("record " + std::to_string(dir) +
+                     " is not a live directory");
+  }
+  std::vector<DirEntry> out;
+  for (const IndexEntry& e : entries(dir, *rec)) {
+    const auto child =
+        indexed_record(dir, e.record, geo_.mft_record_count,
+                       [this](std::uint64_t r) { return load(dev_, r); });
+    out.push_back(dir_entry(e.record, *child));
+  }
+  return out;
+}
+
+std::optional<std::vector<std::byte>> CleanBootMount::read_file(
+    std::string_view path, std::uint64_t& seeks) const {
+  const auto comps = components(path);
+  if (comps.empty()) return std::nullopt;  // the root is no file
+  // Only the file's own record and payload are counted: the directory
+  // walk that finds it is the clean OS's, and free.
+  disk::CountingDevice counted(dev_);
+  std::uint64_t dir = kMftRecordRoot;
+  MftRecord rec = root_;
+  for (std::size_t i = 0; i < comps.size(); ++i) {
+    if (!rec.is_directory()) return std::nullopt;
+    const auto listed = entries(dir, rec);
+    const auto it = std::ranges::find_if(listed, [&](const IndexEntry& e) {
+      return iequals(e.name, comps[i]);
+    });
+    if (it == listed.end()) return std::nullopt;
+    disk::SectorDevice& via = i + 1 == comps.size() ? counted : dev_;
+    rec = *indexed_record(dir, it->record, geo_.mft_record_count,
+                          [&](std::uint64_t r) { return load(via, r); });
+    dir = it->record;
+  }
+  std::vector<std::byte> bytes;
+  if (rec.data) bytes = read_attr_payload(counted, *rec.data);
+  seeks += 1 + counted.stats().seeks;  // the boot-sector probe, then those
+  return bytes;
 }
 
 }  // namespace gb::ntfs

@@ -59,7 +59,9 @@ TEST(DiskImage, InfectedImageScannedFromHost) {
   vm.disk().save_image(path);
 
   auto host_view = disk::MemDisk::load_image(path);
-  const auto scan = core::outside_file_scan(host_view).value();
+  const auto scan =
+      core::outside_file_scan(ntfs::CleanBootMount::open(host_view).value())
+          .value();
   EXPECT_TRUE(scan.contains(core::file_key("C:\\hxdef100.exe")));
   EXPECT_TRUE(scan.contains(core::file_key("C:\\hxdefdrv.sys")));
   std::remove(path.c_str());

@@ -106,7 +106,9 @@ TEST(FailureInjection, OutsideRegistryScanDegradesOnTornHive) {
       vol.read_file("C:\\windows\\system32\\config\\software");
   image[0] = std::byte{0x00};
   vol.write_file("C:\\windows\\system32\\config\\software", image);
-  const auto scan = core::outside_registry_scan(m.disk());
+  const auto mount = ntfs::CleanBootMount::open(m.disk());
+  ASSERT_TRUE(mount.ok()) << mount.status().to_string();
+  const auto scan = core::outside_registry_scan(*mount);
   ASSERT_FALSE(scan.ok());
   EXPECT_EQ(scan.status().code(), support::StatusCode::kCorrupt);
 }

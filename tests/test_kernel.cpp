@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kernel/dump.h"
 
 namespace gb::kernel {
@@ -149,8 +151,9 @@ TEST(KernelDump, RoundTripAllTables) {
   EXPECT_EQ(dump.active_view().size(), 1u);
   EXPECT_EQ(dump.thread_view().size(), 2u);
 
-  const auto* pb = dump.find(b.pid());
-  ASSERT_NE(pb, nullptr);
+  const auto pb = std::ranges::find_if(
+      dump.processes, [&](const auto& p) { return p.pid == b.pid(); });
+  ASSERT_NE(pb, dump.processes.end());
   ASSERT_EQ(pb->peb_modules.size(), 2u);
   EXPECT_TRUE(pb->peb_modules[1].path.empty());
   EXPECT_EQ(pb->kernel_modules[1].path, "C:\\windows\\vanquish.dll");

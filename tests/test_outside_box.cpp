@@ -6,11 +6,14 @@
 #include <vector>
 
 #include "core/file_scans.h"
+#include "core/registry_scans.h"
 #include "core/scan_engine.h"
+#include "disk/disk.h"
 #include "machine/services.h"
 #include "malware/collection.h"
 #include "ntfs/mft_record.h"
 #include "ntfs/mft_scanner.h"
+#include "ntfs/volume.h"
 #include "support/bytes.h"
 #include "support/strings.h"
 
@@ -161,7 +164,9 @@ TEST(OutsideBox, DumpScrubberDefeatsDumpScan) {
       return icontains(p.image_name, "hxdef");
     });
     std::erase_if(dump.threads, [&dump](const kernel::Thread& t) {
-      return dump.find(t.owner_pid) == nullptr;
+      return std::ranges::none_of(dump.processes, [&](const auto& p) {
+        return p.pid == t.owner_pid;
+      });
     });
     bytes = kernel::serialize_dump(dump);
   });
@@ -245,6 +250,13 @@ void forge_probe_entry(machine::Machine& m, std::uint64_t record,
   m.disk().write(lba, image);
 }
 
+/// The outside file view of `dev` through a fresh clean-boot mount.
+support::StatusOr<core::ScanResult> clean_file_scan(disk::SectorDevice& dev) {
+  const auto mount = ntfs::CleanBootMount::open(dev);
+  if (!mount.ok()) return mount.status();
+  return core::outside_file_scan(*mount);
+}
+
 void expect_corrupt_naming(const support::StatusOr<core::ScanResult>& scan,
                            const std::string& what) {
   ASSERT_FALSE(scan.ok());
@@ -257,7 +269,7 @@ TEST(OutsideBoxMount, IndexEntryPastTheMftIsCorrupt) {
   machine::Machine m(probe_config());
   make_probe(m);
   forge_probe_entry(m, std::uint64_t{1} << 40, "f.txt");
-  expect_corrupt_naming(core::outside_file_scan(m.disk()), "1099511627776");
+  expect_corrupt_naming(clean_file_scan(m.disk()), "1099511627776");
 }
 
 TEST(OutsideBoxMount, IndexEntryNamingAFreeSlotIsCorrupt) {
@@ -268,14 +280,14 @@ TEST(OutsideBoxMount, IndexEntryNamingAFreeSlotIsCorrupt) {
   m.disk().read(boot.record_lba(4000), slot);
   ASSERT_FALSE(ntfs::MftRecord::looks_live(slot));  // never used
   forge_probe_entry(m, 4000, "f.txt");
-  expect_corrupt_naming(core::outside_file_scan(m.disk()), "record 4000");
+  expect_corrupt_naming(clean_file_scan(m.disk()), "record 4000");
 }
 
 TEST(OutsideBoxMount, DirectoryListingItselfIsCorrupt) {
   machine::Machine m(probe_config());
   const std::uint64_t probe = make_probe(m);
   forge_probe_entry(m, probe, "probe");
-  expect_corrupt_naming(core::outside_file_scan(m.disk()),
+  expect_corrupt_naming(clean_file_scan(m.disk()),
                         "directory record " + std::to_string(probe));
 }
 
@@ -286,7 +298,7 @@ TEST(OutsideBoxMount, HugeBootSectorRecordCountIsCorrupt) {
   std::fill_n(sector.begin() + ntfs::BootSectorLayout::kMftRecordCount, 4,
               std::byte{0xFF});
   m.disk().write(0, sector);
-  expect_corrupt_naming(core::outside_file_scan(m.disk()),
+  expect_corrupt_naming(clean_file_scan(m.disk()),
                         "4294967295 records");
 }
 
@@ -310,6 +322,82 @@ TEST(OutsideBoxMount, EngineRunDegradesOnlyTheFileDiff) {
         << d.status.to_string();
   }
   ASSERT_NE(report->diff_for(ResourceType::kFile), nullptr);
+}
+
+TEST(OutsideBoxMount, GarbageInAnUnreachedSlotIsNotRead) {
+  // A slot no index entry names, made to look live but not parse: the
+  // clean OS never reads it, so it cannot blind the outside file diff.
+  machine::Machine m(small_config());
+  malware::install_ghostware<malware::HackerDefender>(m);
+  const auto boot = ntfs::read_boot_sector(m.disk()).value();
+  std::vector<std::byte> slot(ntfs::kMftRecordSize);
+  const std::uint64_t lba = boot.record_lba(boot.mft_record_count - 1);
+  m.disk().read(lba, slot);
+  ASSERT_FALSE(ntfs::MftRecord::looks_live(slot));
+  ByteWriter header;  // magic, sequence, flags, record number, used
+  header.u32(ntfs::kFileRecordMagic);
+  header.u16(1);
+  header.u16(ntfs::kRecordInUse);
+  header.u64(boot.mft_record_count - 1);
+  header.u32(0xFFFFFFFF);
+  std::copy(header.view().begin(), header.view().end(), slot.begin());
+  m.disk().write(lba, slot);
+  ASSERT_TRUE(ntfs::MftRecord::looks_live(slot));
+  EXPECT_THROW((void)ntfs::MftRecord::parse(slot), ParseError);
+
+  ScanEngine engine(m, files_and_registry());
+  const auto report = engine.run({.kind = ScanKind::kOutside}).value();
+  const auto* files = report.diff_for(ResourceType::kFile);
+  ASSERT_NE(files, nullptr);
+  EXPECT_FALSE(files->degraded()) << files->status.to_string();
+  for (const char* path : {"C:\\hxdef100.exe", "C:\\hxdefdrv.sys",
+                           "C:\\hxdef100.ini", "C:\\rcmd.exe"}) {
+    EXPECT_TRUE(std::ranges::any_of(files->hidden, [&](const auto& f) {
+      return f.resource.key == core::file_key(path);
+    })) << path << "\n" << report.to_string();
+  }
+}
+
+TEST(OutsideBoxMount, FileAndHiveViewsReadFewerSectorsThanTheMftHasSlots) {
+  // The clean OS reads the boot sector, the root, and what its listings
+  // and hive lookups reach: not every MFT slot.
+  machine::Machine m(small_config());
+  malware::install_ghostware<malware::HackerDefender>(m);
+  m.shutdown();
+  const auto boot = ntfs::read_boot_sector(m.disk()).value();
+  disk::CountingDevice counted(m.disk());
+  const auto mount = ntfs::CleanBootMount::open(counted);
+  ASSERT_TRUE(mount.ok()) << mount.status().to_string();
+  const auto files = core::outside_file_scan(*mount);
+  const auto aseps = core::outside_registry_scan(*mount);
+  ASSERT_TRUE(files.ok()) << files.status().to_string();
+  ASSERT_TRUE(aseps.ok()) << aseps.status().to_string();
+  EXPECT_TRUE(files->contains(core::file_key("C:\\hxdef100.exe")));
+  EXPECT_FALSE(aseps->resources.empty());
+  EXPECT_LT(counted.stats().sectors_read, boot.mft_record_count)
+      << "MFT slots: " << boot.mft_record_count;
+}
+
+TEST(OutsideBoxMount, OutsideRunLeavesEveryDiskByteUnchanged) {
+  // The evidence disk is examined, never altered: the outside run's four
+  // views (files, hives, dump threads and carve, dump modules) and the
+  // clean-boot mount under the first two write no byte of it.
+  machine::Machine m(small_config());
+  malware::install_ghostware<malware::HackerDefender>(m);
+  const auto image = m.disk().image();
+  const std::vector<std::byte> before(image.begin(), image.end());
+  core::ScanConfig cfg;
+  cfg.parallelism = 2;
+  ScanEngine engine(m, cfg);
+  const auto report = engine.run({.kind = ScanKind::kOutside});
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  ASSERT_EQ(report->diffs.size(), 4u);
+  for (const auto& d : report->diffs) {
+    EXPECT_FALSE(d.degraded()) << d.status.to_string();
+  }
+  const auto after = m.disk().image();
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), after.begin(),
+                         after.end()));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/file_scans.h"
+#include "core/registry_scans.h"
 #include "daemon/job_journal.h"
 #include "daemon/transport.h"
 #include "daemon/wire.h"
@@ -278,13 +279,18 @@ TEST_P(ParserFuzz, MutatedDirectoryRecordsMountToAListingOrAStatus) {
   machine::Machine m(mc);
   m.volume().create_directories("\\probe");
   m.volume().write_file("\\probe\\f.txt", "payload");
+  m.flush_registry();
+  const auto config = m.volume().stat("\\windows\\system32\\config");
+  ASSERT_TRUE(config.has_value());
   const auto boot = ntfs::read_boot_sector(m.disk()).value();
   const std::uint64_t directories[] = {ntfs::kMftRecordRoot,
-                                       m.volume().stat("\\probe")->record};
+                                       m.volume().stat("\\probe")->record,
+                                       config->record};
   for (int round = 0; round < kFramingRounds; ++round) {
-    // The root's and \probe's records in turn: their index entries are
-    // what the clean-boot mount trusts to list the volume.
-    const std::uint64_t lba = boot.record_lba(directories[round % 2]);
+    // The root's, \probe's and the hive directory's records in turn:
+    // their index entries are what the clean-boot mount trusts to list
+    // the volume and to open the hive files.
+    const std::uint64_t lba = boot.record_lba(directories[round % 3]);
     std::vector<std::byte> original(ntfs::kMftRecordSize);
     m.disk().read(lba, original);
     const std::size_t used = ntfs::MftRecord::parse(original).serialized_size();
@@ -296,10 +302,19 @@ TEST_P(ParserFuzz, MutatedDirectoryRecordsMountToAListingOrAStatus) {
       record[at] = static_cast<std::byte>(rng_.below(256));
     }
     m.disk().write(lba, record);
-    const auto scan = core::outside_file_scan(m.disk());
-    if (!scan.ok()) {
-      EXPECT_EQ(scan.status().code(), support::StatusCode::kCorrupt)
-          << scan.status().to_string();
+    // One mount, both of its views, as the outside diff runs them.
+    const auto mount = ntfs::CleanBootMount::open(m.disk());
+    if (!mount.ok()) {
+      EXPECT_EQ(mount.status().code(), support::StatusCode::kCorrupt)
+          << mount.status().to_string();
+    } else {
+      for (const auto& scan : {core::outside_file_scan(*mount),
+                               core::outside_registry_scan(*mount)}) {
+        if (!scan.ok()) {
+          EXPECT_EQ(scan.status().code(), support::StatusCode::kCorrupt)
+              << scan.status().to_string();
+        }
+      }
     }
     m.disk().write(lba, original);
   }
